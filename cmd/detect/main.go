@@ -91,7 +91,7 @@ func main() {
 		os.Exit(2)
 	}
 	// One interning pass up front; the detector then consumes dense IDs
-	// (models without ID support decode through their SymbolDecoder).
+	// (Branch-native models decode through their SymbolDecoder).
 	// SIGINT cancels the run: the detector is finalized where it stopped
 	// and the phases found so far are reported.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

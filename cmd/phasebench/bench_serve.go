@@ -182,7 +182,7 @@ func runBenchServeJSON(path string) error {
 			}
 		}
 
-		directWall, _, _ := measure(func() {
+		directWall := measure(func() {
 			d := serveBenchConfig.MustNew()
 			for i := 0; i < len(tr); i += chunk {
 				end := i + chunk
@@ -274,7 +274,7 @@ func streamServeBench(reg *telemetry.Registry, payload [][]byte) (time.Duration,
 	if err != nil {
 		return 0, err
 	}
-	wall, _, _ := measure(func() {
+	wall := measure(func() {
 		for _, p := range payload {
 			resp, err := client.Post(base+"/v1/sessions/"+id+"/elements",
 				"application/octet-stream", bytes.NewReader(p))
@@ -323,7 +323,7 @@ func streamFramedBench(reg *telemetry.Registry, parts []trace.Trace, ids bool) (
 	}
 	defer sc.Close()
 	var serr error
-	wall, _, _ := measure(func() {
+	wall := measure(func() {
 		for _, p := range parts {
 			if serr = sc.Send(p); serr != nil {
 				return
@@ -361,4 +361,35 @@ func openBenchSession(client *http.Client, base string) (string, error) {
 		return "", fmt.Errorf("phasebench: opening serve session: status %d", resp.StatusCode)
 	}
 	return opened.ID, nil
+}
+
+// benchTrace builds a deterministic trace of stable runs: run lengths in
+// [1, maxRun] over a pool of `sites` distinct branches.
+func benchTrace(n, sites, maxRun int) trace.Trace {
+	rng := int64(42)
+	next := func(m int) int {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		v := int(rng >> 40)
+		if v < 0 {
+			v = -v
+		}
+		return v % m
+	}
+	var tr trace.Trace
+	for len(tr) < n {
+		site := next(sites)
+		run := next(maxRun) + 1
+		for i := 0; i < run && len(tr) < n; i++ {
+			tr = append(tr, trace.MakeBranch(0, 1+site, true))
+		}
+	}
+	return tr
+}
+
+// measure runs fn after a full GC and returns its wall clock.
+func measure(fn func()) time.Duration {
+	runtime.GC()
+	start := time.Now()
+	fn()
+	return time.Since(start)
 }

@@ -9,7 +9,6 @@
 //	phasebench -exp fig4        # one experiment
 //	phasebench -json -exp table1b                 # machine-readable output
 //	phasebench -scale 2 -benchmarks compress,db   # faster, smaller
-//	phasebench -bench-json BENCH_sweep.json       # sweep engine benchmark record
 //
 // Experiment names: table1a table1b table2a table2b fig4 fig5 fig6 fig7a
 // fig7b fig8 skipsweep sources client variance all.
@@ -126,18 +125,10 @@ func main() {
 		asJSON  = flag.Bool("json", false, "emit results as a JSON object keyed by experiment name")
 		telAddr = flag.String("telemetry-addr", "", "serve the live "+telemetry.DebugPath+" debug surface on this address (\":0\" picks a port)")
 		telDump = flag.Bool("telemetry-dump", false, "print the telemetry report and detector execution summary at end of run")
-		benchTo = flag.String("bench-json", "", "benchmark the sweep engines (map vs shared-intern) per config family and write the JSON record to this path (\"-\" = stdout), then exit")
 		serveTo = flag.String("bench-serve-json", "", "benchmark streaming-server HTTP ingest against the direct detector feed across chunk sizes and write the JSON record to this path (\"-\" = stdout), then exit")
 	)
 	flag.Parse()
 
-	if *benchTo != "" {
-		if err := runBenchJSON(*benchTo, *workers); err != nil {
-			fmt.Fprintln(os.Stderr, "phasebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *serveTo != "" {
 		if err := runBenchServeJSON(*serveTo); err != nil {
 			fmt.Fprintln(os.Stderr, "phasebench:", err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"opd/internal/trace"
@@ -8,37 +9,38 @@ import (
 
 // feedIDs replays tr through the dense-ID batch path exactly as the
 // streaming server does: each chunk's elements are interned through a
-// client-side builder, the model is re-bound whenever the table grows
-// (extension may reallocate the backing array), and the chunk goes in
-// as IDs.
+// client-side builder, the symbols new to the table extend the
+// detector's table, and the chunk goes in as IDs.
 func feedIDs(d *Detector, tr trace.Trace, size func(i int) int) {
 	b := trace.NewInternedBuilder(0)
-	bound := 0
 	var ids []int32
 	for i, k := 0, 0; i < len(tr); k++ {
-		end := i + size(k)
-		if end > len(tr) {
-			end = len(tr)
-		}
-		ids = ids[:0]
-		for _, e := range tr[i:end] {
-			ids = append(ids, b.Intern(e))
-		}
-		if card := b.Cardinality(); card > bound {
-			d.Bind(trace.NewInternedTable(b.Symbols()))
-			bound = card
-		}
+		end := min(i+size(k), len(tr))
+		ids = internChunk(d, b, tr[i:end], ids[:0])
 		d.ProcessBatchIDs(ids)
 		i = end
 	}
 	d.Finish()
 }
 
+// internChunk interns elems through the client table b into ids and
+// extends the detector's table with the symbols the chunk added.
+func internChunk(d *Detector, b *trace.InternedBuilder, elems trace.Trace, ids []int32) []int32 {
+	start := b.Cardinality()
+	for _, e := range elems {
+		ids = append(ids, b.Intern(e))
+	}
+	if err := d.ExtendSymbols(b.Symbols()[start:]); err != nil {
+		panic(err)
+	}
+	return ids
+}
+
 // TestProcessBatchIDsEquivalence pins the dense-ID twin of the
 // chunk-size-agnostic contract: feeding a trace through ProcessBatchIDs
 // in chunks of any size — IDs assigned by a streaming InternedBuilder in
-// first-appearance order, table re-bound as it grows — produces output
-// identical to RunTrace over the raw elements.
+// first-appearance order, the detector's table extended as it grows —
+// produces output identical to RunTrace over the raw elements.
 func TestProcessBatchIDsEquivalence(t *testing.T) {
 	tr := batchTestTrace(40000)
 	configs := []Config{
@@ -69,11 +71,11 @@ func TestProcessBatchIDsEquivalence(t *testing.T) {
 	}
 }
 
-// TestProcessBatchIDsSnapshotRestore pins the one sanctioned entry-point
-// crossover: a detector snapshotted mid-ID-run persists its partial
-// group in Branch form; after restore and re-bind the first
-// ProcessBatchIDs call adopts it back into ID form, and the continued
-// run matches an uninterrupted one bit for bit.
+// TestProcessBatchIDsSnapshotRestore pins restore on the dense-ID path:
+// a detector snapshotted mid-ID-run persists its partial group in Branch
+// form and its table as negotiated; the restored detector owns that
+// table, interns the group back, and continuing through ExtendSymbols
+// and ProcessBatchIDs matches an uninterrupted run bit for bit.
 func TestProcessBatchIDsSnapshotRestore(t *testing.T) {
 	tr := batchTestTrace(30000)
 	cfg := Config{CWSize: 400, TWSize: 600, SkipFactor: 64, TW: AdaptiveTW,
@@ -85,24 +87,12 @@ func TestProcessBatchIDsSnapshotRestore(t *testing.T) {
 	for _, cut := range []int{101, 12345, 29999} {
 		b := trace.NewInternedBuilder(0)
 		d := cfg.MustNew()
-		d.Bind(trace.NewInternedTable(b.Symbols()))
-		feed := func(det *Detector, elems trace.Trace) {
-			ids := make([]int32, 0, len(elems))
-			for _, e := range elems {
-				ids = append(ids, b.Intern(e))
+		feed := func(det *Detector, from, to int) {
+			for i := from; i < to; i += 777 {
+				det.ProcessBatchIDs(internChunk(det, b, tr[i:min(i+777, to)], nil))
 			}
-			det.Bind(trace.NewInternedTable(b.Symbols()))
-			det.ProcessBatchIDs(ids)
 		}
-		// Uneven chunks up to the cut.
-		for i := 0; i < cut; {
-			end := i + 777
-			if end > cut {
-				end = cut
-			}
-			feed(d, tr[i:end])
-			i = end
-		}
+		feed(d, 0, cut)
 		snap, err := d.Snapshot()
 		if err != nil {
 			t.Fatalf("cut %d: snapshot: %v", cut, err)
@@ -114,26 +104,10 @@ func TestProcessBatchIDsSnapshotRestore(t *testing.T) {
 		if cfg2.ID() != cfg.ID() {
 			t.Fatalf("cut %d: restored config %s, want %s", cut, cfg2.ID(), cfg.ID())
 		}
-		// The serve layer re-seeds the negotiated table from the restored
-		// model and re-binds; mirror that, then continue on the ID path.
-		table := d2.InternTable()
-		if table == nil {
-			t.Fatalf("cut %d: restored detector has no intern table", cut)
+		if !slices.Equal(d2.Symbols(), b.Symbols()) {
+			t.Fatalf("cut %d: restored table of %d symbols differs from the negotiated %d", cut, len(d2.Symbols()), b.Cardinality())
 		}
-		b2 := trace.NewInternedBuilder(len(table))
-		for _, sym := range table {
-			b2.Intern(sym)
-		}
-		b = b2
-		d2.Bind(trace.NewInternedTable(b.Symbols()))
-		for i := cut; i < len(tr); {
-			end := i + 777
-			if end > len(tr) {
-				end = len(tr)
-			}
-			feed(d2, tr[i:end])
-			i = end
-		}
+		feed(d2, cut, len(tr))
 		d2.Finish()
 		if d2.Consumed() != want.Consumed() {
 			t.Fatalf("cut %d: consumed %d, want %d", cut, d2.Consumed(), want.Consumed())
@@ -150,19 +124,85 @@ func TestProcessBatchIDsSnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestMixedEntryPointsPanic pins the guard: once a run has a pending ID
-// group, the Branch entry point refuses to continue it.
-func TestMixedEntryPointsPanic(t *testing.T) {
-	cfg := Config{CWSize: 100, SkipFactor: 8, TW: ConstantTW, Model: UnweightedModel, Analyzer: ThresholdAnalyzer, Param: 0.6}
+// TestMixedEntryPointsShareOneTable pins that Branch and ID input meet in
+// one symbol table and one pending group: alternating ProcessBatch and
+// ProcessBatchIDs chunks (IDs from a client table that saw the same
+// elements in the same order) matches RunTrace, and the two tables agree.
+func TestMixedEntryPointsShareOneTable(t *testing.T) {
+	tr := batchTestTrace(20000)
+	cfg := Config{CWSize: 400, TWSize: 600, SkipFactor: 64, TW: AdaptiveTW,
+		Anchor: AnchorRN, Resize: ResizeSlide, Model: WeightedModel, Analyzer: AverageAnalyzer, Param: 0.3}
+	want := RunTrace(cfg.MustNew(), tr)
 	d := cfg.MustNew()
 	b := trace.NewInternedBuilder(0)
-	ids := []int32{b.Intern(trace.MakeBranch(0, 1, true)), b.Intern(trace.MakeBranch(0, 2, false))}
-	d.Bind(trace.NewInternedTable(b.Symbols()))
-	d.ProcessBatchIDs(ids) // leaves a partial group pending
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ProcessBatch after a pending ID group did not panic")
+	for i, k := 0, 0; i < len(tr); k++ {
+		end := min(i+333, len(tr))
+		if k%2 == 0 {
+			for _, e := range tr[i:end] {
+				b.Intern(e)
+			}
+			d.ProcessBatch(tr[i:end])
+		} else {
+			d.ProcessBatchIDs(internChunk(d, b, tr[i:end], nil))
 		}
-	}()
-	d.ProcessBatch(trace.Trace{trace.MakeBranch(0, 3, true)})
+		i = end
+	}
+	d.Finish()
+	if !slices.Equal(d.Symbols(), b.Symbols()) {
+		t.Fatalf("detector table of %d symbols differs from the client's %d", len(d.Symbols()), b.Cardinality())
+	}
+	if d.Consumed() != want.Consumed() || d.SimilarityComputations() != want.SimilarityComputations() {
+		t.Fatalf("consumed/sim %d/%d, want %d/%d", d.Consumed(), d.SimilarityComputations(),
+			want.Consumed(), want.SimilarityComputations())
+	}
+	if !equalIntervals(d.Phases(), want.Phases()) || !equalIntervals(d.AdjustedPhases(), want.AdjustedPhases()) {
+		t.Errorf("phases %v / %v, want %v / %v", d.Phases(), d.AdjustedPhases(), want.Phases(), want.AdjustedPhases())
+	}
+}
+
+// TestExtendSymbolsRejectsDuplicates pins the negotiation guard: an
+// extension naming an element the table already holds, or naming one
+// element twice, would give it two IDs, so it fails and changes nothing.
+func TestExtendSymbolsRejectsDuplicates(t *testing.T) {
+	d := Config{CWSize: 100, SkipFactor: 8, TW: ConstantTW, Model: UnweightedModel, Analyzer: ThresholdAnalyzer, Param: 0.6}.MustNew()
+	a, b, c := trace.MakeBranch(0, 1, true), trace.MakeBranch(0, 2, true), trace.MakeBranch(0, 3, true)
+	if err := d.ExtendSymbols([]trace.Branch{a, b}); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range [][]trace.Branch{{c, a}, {c, c}} {
+		if err := d.ExtendSymbols(bad); err == nil {
+			t.Errorf("extension %v accepted", bad)
+		}
+		if !slices.Equal(d.Symbols(), []trace.Branch{a, b}) {
+			t.Fatalf("failed extension %v changed the table to %v", bad, d.Symbols())
+		}
+	}
+}
+
+// TestBranchInputAfterBind pins that Bind's table stays read-only: Branch
+// input on a bound detector copies the table into one the detector owns
+// and grows that, so a table shared by a whole sweep never changes under
+// its other readers, and the output still matches RunTrace.
+func TestBranchInputAfterBind(t *testing.T) {
+	tr := batchTestTrace(20000)
+	cfg := Config{CWSize: 400, TWSize: 600, SkipFactor: 64, TW: AdaptiveTW,
+		Anchor: AnchorRN, Resize: ResizeSlide, Model: WeightedModel, Analyzer: ThresholdAnalyzer, Param: 0.5}
+	want := RunTrace(cfg.MustNew(), tr)
+	shared := trace.Intern(tr[:3500])
+	before := slices.Clone(shared.Symbols())
+	d := cfg.MustNew()
+	d.Bind(shared)
+	d.ProcessBatchIDs(shared.IDs())
+	d.ProcessBatch(tr[3500:])
+	d.Finish()
+	if !slices.Equal(shared.Symbols(), before) {
+		t.Fatal("Branch input grew the shared table")
+	}
+	if got := trace.Intern(tr).Symbols(); !slices.Equal(d.Symbols(), got) {
+		t.Fatalf("detector table of %d symbols, want the trace's %d", len(d.Symbols()), len(got))
+	}
+	if d.SimilarityComputations() != want.SimilarityComputations() ||
+		!equalIntervals(d.Phases(), want.Phases()) || !equalIntervals(d.AdjustedPhases(), want.AdjustedPhases()) {
+		t.Errorf("bound-then-Branch run diverges from RunTrace: phases %v, want %v", d.Phases(), want.Phases())
+	}
 }

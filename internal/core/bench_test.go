@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"opd/internal/trace"
@@ -18,14 +19,15 @@ func benchmarkWindowSimilarity(b *testing.B, weighted bool) {
 	if weighted {
 		m = NewSetModel(WeightedModel, 1000, 1000, ConstantTW, AnchorRN, ResizeSlide)
 	}
-	buf := make([]trace.Branch, 1)
+	in := trace.Intern(stream)
+	m.BindSymbols(in.Symbols())
+	ids := in.IDs()
 	b.SetBytes(int64(len(stream)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, e := range stream {
-			buf[0] = e
-			m.UpdateWindows(buf)
+		for j := range ids {
+			m.UpdateWindowsIDs(ids[j : j+1])
 			m.ComputeSimilarity()
 		}
 	}
@@ -101,16 +103,12 @@ func hiCardStream() trace.Trace {
 	return tr
 }
 
-// benchmarkUpdateWindowsPath drives a whole-trace detector run through
-// either the legacy map-interning path or the dense-ID fast path, so the
-// two benchmarks isolate exactly the cost the shared-intern engine
-// removes: one hash lookup per element (interning for the ID path is done
-// outside the timed region, as the sweep engine amortizes it).
-func benchmarkUpdateWindowsPath(b *testing.B, interned bool, kind ModelKind) {
-	benchmarkUpdateWindowsPathStream(b, benchStream(), interned, kind)
-}
-
-func benchmarkUpdateWindowsPathStream(b *testing.B, stream trace.Trace, interned bool, kind ModelKind) {
+// benchmarkInput drives a whole-trace detector run from either Branch
+// input (RunTrace: the detector interns each element at its boundary) or
+// ID input (RunTraceInterned over a trace interned outside the timed
+// region, as the sweep engine amortizes it), so the pair isolates the
+// cost of boundary interning: one hash lookup per element.
+func benchmarkInput(b *testing.B, stream trace.Trace, ids bool, kind ModelKind) {
 	in := trace.Intern(stream)
 	cfg := Config{CWSize: 1000, TW: ConstantTW, Model: kind,
 		Analyzer: ThresholdAnalyzer, Param: 0.6}
@@ -119,7 +117,7 @@ func benchmarkUpdateWindowsPathStream(b *testing.B, stream trace.Trace, interned
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := cfg.MustNew()
-		if interned {
+		if ids {
 			RunTraceInterned(d, in)
 		} else {
 			RunTrace(d, stream)
@@ -127,38 +125,46 @@ func benchmarkUpdateWindowsPathStream(b *testing.B, stream trace.Trace, interned
 	}
 }
 
-// BenchmarkUpdateWindowsMapPath is the legacy path: the model interns
-// every element through its private map[trace.Branch]int32.
-func BenchmarkUpdateWindowsMapPath(b *testing.B) {
-	benchmarkUpdateWindowsPath(b, false, UnweightedModel)
-}
+func BenchmarkBranchInput(b *testing.B) { benchmarkInput(b, benchStream(), false, UnweightedModel) }
+func BenchmarkIDInput(b *testing.B)     { benchmarkInput(b, benchStream(), true, UnweightedModel) }
 
-// BenchmarkUpdateWindowsIDPath consumes the pre-interned ID stream:
-// no hashing, counters sized up-front, growth checks gone.
-func BenchmarkUpdateWindowsIDPath(b *testing.B) {
-	benchmarkUpdateWindowsPath(b, true, UnweightedModel)
+// BenchmarkBranchInputWeighted / IDInputWeighted repeat the comparison
+// for the weighted model, whose similarity step dilutes (but does not
+// hide) the interning cost.
+func BenchmarkBranchInputWeighted(b *testing.B) {
+	benchmarkInput(b, benchStream(), false, WeightedModel)
 }
+func BenchmarkIDInputWeighted(b *testing.B) { benchmarkInput(b, benchStream(), true, WeightedModel) }
 
-// BenchmarkUpdateWindowsMapPathWeighted / IDPathWeighted repeat the
-// comparison for the weighted model, whose similarity step dilutes (but
-// does not hide) the interning cost.
-func BenchmarkUpdateWindowsMapPathWeighted(b *testing.B) {
-	benchmarkUpdateWindowsPath(b, false, WeightedModel)
-}
-
-func BenchmarkUpdateWindowsIDPathWeighted(b *testing.B) {
-	benchmarkUpdateWindowsPath(b, true, WeightedModel)
-}
-
-// BenchmarkUpdateWindowsMapPathHiCard / IDPathHiCard repeat the unweighted
+// BenchmarkBranchInputHiCard / IDInputHiCard repeat the unweighted
 // comparison over a stream with thousands of distinct sites — the
-// map-lookup-bound regime the shared-intern engine targets.
-func BenchmarkUpdateWindowsMapPathHiCard(b *testing.B) {
-	benchmarkUpdateWindowsPathStream(b, hiCardStream(), false, UnweightedModel)
+// map-lookup-bound regime the shared-intern sweep engine targets.
+func BenchmarkBranchInputHiCard(b *testing.B) {
+	benchmarkInput(b, hiCardStream(), false, UnweightedModel)
 }
+func BenchmarkIDInputHiCard(b *testing.B) { benchmarkInput(b, hiCardStream(), true, UnweightedModel) }
 
-func BenchmarkUpdateWindowsIDPathHiCard(b *testing.B) {
-	benchmarkUpdateWindowsPathStream(b, hiCardStream(), true, UnweightedModel)
+// BenchmarkProcessBatchHiCardChunks feeds the high-cardinality stream
+// through ProcessBatch in small chunks, as a streaming session does: most
+// chunks bring new elements, so the symbol table, and with it the
+// model's counter slices, grows chunk after chunk.
+func BenchmarkProcessBatchHiCardChunks(b *testing.B) {
+	stream := hiCardStream()
+	cfg := Config{CWSize: 1000, TW: ConstantTW, Model: UnweightedModel,
+		Analyzer: ThresholdAnalyzer, Param: 0.6}
+	for _, chunk := range []int{16, 256, 4096} {
+		b.Run(fmt.Sprintf("chunk=%d", chunk), func(b *testing.B) {
+			b.SetBytes(int64(len(stream)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d := cfg.MustNew()
+				for j := 0; j < len(stream); j += chunk {
+					d.ProcessBatch(stream[j:min(j+chunk, len(stream))])
+				}
+				d.Finish()
+			}
+		})
+	}
 }
 
 // BenchmarkDetectorProcessSingle measures the per-element streaming entry

@@ -22,10 +22,18 @@ type Detector struct {
 	analyzer Analyzer
 	skip     int
 
-	state      State
-	n          int64 // elements consumed
-	pending    []trace.Branch
-	pendingIDs []int32 // ID-native runs' partial group (see ProcessBatchIDs)
+	// The symbol table every element is interned into: table is the
+	// detector's own, and syms is the ID → element table last bound into
+	// the model. Bind points syms at a shared read-only table instead and
+	// leaves table nil until Branch input or an extension needs a table
+	// the detector can grow, which then starts as a copy.
+	table *trace.InternedBuilder
+	syms  []trace.Branch
+	idBuf []int32 // Branch entry points' reused intern buffer
+
+	state   State
+	n       int64   // elements consumed
+	pending []int32 // trailing partial group, held until the next call or Finish
 
 	phases      []interval.Interval
 	adjPhases   []interval.Interval
@@ -81,33 +89,17 @@ func (d *Detector) SetProbe(p *telemetry.DetectorProbe) { d.probe = p }
 // ProcessProfile consumes the next group of profile elements (normally
 // exactly skipFactor of them; the final group of a trace may be shorter)
 // and returns the detector's state, which applies to every element of the
-// group. This is the paper's processProfile entry point.
+// group. This is the paper's processProfile entry point; the elements are
+// interned into the detector's symbol table and go down the ID path.
 func (d *Detector) ProcessProfile(elems []trace.Branch) State {
-	if d.finished {
-		panic("core: ProcessProfile after Finish")
-	}
-	if len(elems) == 0 {
-		return d.state
-	}
-	groupStart := d.n
-	d.n += int64(len(elems))
-	if d.sm != nil {
-		d.sm.UpdateWindows(elems)
-	} else {
-		d.model.UpdateWindows(elems)
-	}
-	return d.afterUpdate(groupStart, int64(len(elems)))
+	return d.ProcessProfileIDs(d.intern(elems))
 }
 
-// ProcessProfileIDs is ProcessProfile over a pre-interned group: the
-// elements arrive as dense IDs into a trace.Interned symbol table the
-// model has been bound to (see RunTraceInterned). Everything downstream
-// of the window update — similarity, analyzer, phase lifecycle — is the
-// exact code path of ProcessProfile, so the two entry points produce
-// identical output over the same stream.
+// ProcessProfileIDs is ProcessProfile over a group of dense IDs into the
+// detector's symbol table (see Bind and ExtendSymbols).
 func (d *Detector) ProcessProfileIDs(ids []int32) State {
 	if d.finished {
-		panic("core: ProcessProfileIDs after Finish")
+		panic("core: input after Finish")
 	}
 	if len(ids) == 0 {
 		return d.state
@@ -246,9 +238,11 @@ func (d *Detector) Confidence() float64 {
 // Process consumes a single profile element, buffering until a full
 // skip-factor group is available. It returns the detector's current state.
 func (d *Detector) Process(e trace.Branch) State {
-	d.pending = append(d.pending, e)
+	t := d.ownTable()
+	d.pending = append(d.pending, t.Intern(e))
+	d.bindTable(t)
 	if len(d.pending) == d.skip {
-		d.ProcessProfile(d.pending)
+		d.ProcessProfileIDs(d.pending)
 		d.pending = d.pending[:0]
 	}
 	return d.state
@@ -260,69 +254,46 @@ func (d *Detector) Process(e trace.Branch) State {
 // into chunks, the sequence of skip-factor groups the detector sees — and
 // therefore its output — is identical to Process called once per element
 // or RunTrace over the whole stream. This is the incremental-feed seam the
-// streaming server builds on. Full groups are sliced directly out of the
-// chunk, so large chunks pay no per-element copying beyond the remainder.
+// streaming server builds on. The chunk is interned into the detector's
+// symbol table and continues as ProcessBatchIDs, at most internSpan
+// elements at a time.
 func (d *Detector) ProcessBatch(elems []trace.Branch) State {
-	if len(d.pendingIDs) > 0 {
-		// The run is already on the ID-native path; mixing entry points
-		// would intern the same elements twice under different IDs.
-		panic("core: ProcessBatch on a detector with a pending ID group (mixed entry points)")
-	}
-	// Top up a partial group left over from an earlier chunk.
-	if len(d.pending) > 0 {
-		need := d.skip - len(d.pending)
-		if need > len(elems) {
-			need = len(elems)
-		}
-		d.pending = append(d.pending, elems[:need]...)
-		elems = elems[need:]
-		if len(d.pending) == d.skip {
-			d.ProcessProfile(d.pending)
-			d.pending = d.pending[:0]
-		}
-	}
-	// Whole groups straight from the chunk.
-	skip := d.skip
-	n := (len(elems) / skip) * skip
-	for i := 0; i < n; i += skip {
-		d.ProcessProfile(elems[i : i+skip])
-	}
-	// Buffer the remainder for the next chunk.
-	if n < len(elems) {
-		d.pending = append(d.pending, elems[n:]...)
+	for len(elems) > 0 {
+		n := min(len(elems), internSpan)
+		d.ProcessBatchIDs(d.intern(elems[:n]))
+		elems = elems[n:]
 	}
 	return d.state
 }
 
-// ProcessBatchIDs is ProcessBatch over dense IDs into a bound symbol
-// table (Detector.Bind): the streaming server's symbol-negotiated fast
-// path. Grouping is chunk-size agnostic exactly as in ProcessBatch — a
-// trailing partial group buffers as IDs until the next call or Finish —
-// and the output over any chunking is identical to ProcessBatch over
-// the equivalent raw elements.
-//
-// A run must stay on one entry point; the only sanctioned crossover is
-// a detector restored from a snapshot taken mid-ID-run, whose pending
-// partial group was persisted in Branch form: the first ProcessBatchIDs
-// call adopts it back into ID form through the bound table.
+// internSpan bounds the reused ID buffer: ProcessBatch interns a chunk of
+// any size in spans of at most this many elements, so a detector holds at
+// most 16 KiB of IDs however large a chunk it was fed.
+const internSpan = 4096
+
+// ProcessBatchIDs is ProcessBatch over dense IDs into the detector's
+// symbol table: the streaming server's symbol-negotiated path. Grouping
+// is chunk-size agnostic exactly as in ProcessBatch — a trailing partial
+// group buffers until the next call or Finish — and the entry points
+// share one table and one pending group, so any mix of Branch and ID
+// chunks gives the output of the equivalent raw elements. Full groups
+// are sliced directly out of the chunk, so large chunks pay no
+// per-element copying beyond the remainder.
 func (d *Detector) ProcessBatchIDs(ids []int32) State {
 	if d.finished {
-		panic("core: ProcessBatchIDs after Finish")
-	}
-	if len(d.pending) > 0 {
-		d.adoptPending()
+		panic("core: input after Finish")
 	}
 	// Top up a partial group left over from an earlier chunk.
-	if len(d.pendingIDs) > 0 {
-		need := d.skip - len(d.pendingIDs)
+	if len(d.pending) > 0 {
+		need := d.skip - len(d.pending)
 		if need > len(ids) {
 			need = len(ids)
 		}
-		d.pendingIDs = append(d.pendingIDs, ids[:need]...)
+		d.pending = append(d.pending, ids[:need]...)
 		ids = ids[need:]
-		if len(d.pendingIDs) == d.skip {
-			d.ProcessProfileIDs(d.pendingIDs)
-			d.pendingIDs = d.pendingIDs[:0]
+		if len(d.pending) == d.skip {
+			d.ProcessProfileIDs(d.pending)
+			d.pending = d.pending[:0]
 		}
 	}
 	// Whole groups straight from the chunk.
@@ -333,58 +304,100 @@ func (d *Detector) ProcessBatchIDs(ids []int32) State {
 	}
 	// Buffer the remainder for the next chunk.
 	if n < len(ids) {
-		d.pendingIDs = append(d.pendingIDs, ids[n:]...)
+		d.pending = append(d.pending, ids[n:]...)
 	}
 	return d.state
 }
 
-// adoptPending converts a snapshot-restored Branch-form pending group
-// into ID form so an ID-native run can continue it. Every pending
-// element is necessarily in the bound table: it was interned before the
-// snapshot, and the table only grows.
-func (d *Detector) adoptPending() {
-	if d.sm == nil {
-		panic("core: ProcessBatchIDs cannot adopt a pending group on a custom model")
+// intern translates Branch input into dense IDs in the detector's own
+// table, re-binding the model when the table grew. The returned slice is
+// reused by the next call.
+func (d *Detector) intern(elems []trace.Branch) []int32 {
+	t := d.ownTable()
+	ids := d.idBuf[:0]
+	for _, e := range elems {
+		ids = append(ids, t.Intern(e))
 	}
-	for _, b := range d.pending {
-		id, ok := d.sm.lookupID(b)
-		if !ok {
-			panic(fmt.Sprintf("core: pending element %v missing from bound symbol table", b))
-		}
-		d.pendingIDs = append(d.pendingIDs, id)
-	}
-	d.pending = d.pending[:0]
+	d.idBuf = ids
+	d.bindTable(t)
+	return ids
 }
 
-// Bind points the model at a negotiated symbol table ahead of (or
-// during) an ID-native run, reporting whether the model supports
-// binding. Re-binding after the table grows is required: the model
-// aliases the table's backing array, which extension may reallocate.
+// ownTable returns the detector's own symbol table, first copying the
+// shared table Bind attached, if any.
+func (d *Detector) ownTable() *trace.InternedBuilder {
+	if d.table == nil {
+		d.copyTable()
+	}
+	return d.table
+}
+
+func (d *Detector) copyTable() {
+	d.table = trace.NewInternedBuilder(0)
+	for _, e := range d.syms {
+		d.table.Intern(e)
+	}
+}
+
+// bindTable re-binds the model to the detector's own table t when it
+// grew. The table is append-only, so an unchanged length means an
+// unchanged table.
+func (d *Detector) bindTable(t *trace.InternedBuilder) {
+	if t.Cardinality() != len(d.syms) {
+		d.bindSymbols(t.Symbols())
+	}
+}
+
+func (d *Detector) bindSymbols(syms []trace.Branch) {
+	d.syms = syms
+	d.model.BindSymbols(syms)
+}
+
+// Bind points the detector at a shared, read-only symbol table — a
+// pre-interned trace's, for the sweep — so ID input indexes into it
+// without copying. The table must extend the one the detector already
+// holds. Bind always reports true: every model takes a symbol table.
 func (d *Detector) Bind(in *trace.Interned) bool {
-	if b, ok := d.model.(InternBinder); ok {
-		b.BindInterned(in)
-		return true
-	}
-	return false
+	d.table = nil
+	d.bindSymbols(in.Symbols())
+	return true
 }
 
-// InternTable returns the model's ID → element table in ID order: the
-// bound symbol table when one is attached, otherwise the inverse of the
-// per-model intern map. Nil for custom models. The serve layer uses it
-// to re-seed a restored session's negotiated table.
-func (d *Detector) InternTable() []trace.Branch {
-	sm := d.sm
-	if sm == nil {
-		return nil
+// Symbols returns the detector's symbol table: the profile element of
+// each dense ID, in ID order. Read-only; it may be reallocated when the
+// table grows.
+func (d *Detector) Symbols() []trace.Branch { return d.syms }
+
+// CheckSymbols reports whether syms can extend the detector's symbol
+// table: each element must be new to the table and appear once, or one
+// element would have two IDs.
+func (d *Detector) CheckSymbols(syms []trace.Branch) error {
+	t := d.ownTable()
+	seen := make(map[trace.Branch]struct{}, len(syms))
+	for i, e := range syms {
+		if _, ok := t.ID(e); ok {
+			return fmt.Errorf("core: symbol %d (%v) is already in the table", i, e)
+		}
+		if _, ok := seen[e]; ok {
+			return fmt.Errorf("core: symbol %d (%v) repeats an earlier one", i, e)
+		}
+		seen[e] = struct{}{}
 	}
-	if sm.syms != nil {
-		return sm.syms
+	return nil
+}
+
+// ExtendSymbols appends syms to the detector's symbol table as the next
+// dense IDs, in order: the receiving side of a table a streaming client
+// negotiates. It fails, changing nothing, when CheckSymbols does.
+func (d *Detector) ExtendSymbols(syms []trace.Branch) error {
+	if err := d.CheckSymbols(syms); err != nil {
+		return err
 	}
-	table := make([]trace.Branch, len(sm.intern))
-	for b, id := range sm.intern {
-		table[id] = b
+	for _, e := range syms {
+		d.table.Intern(e)
 	}
-	return table
+	d.bindTable(d.table)
+	return nil
 }
 
 func (d *Detector) beginPhase(groupStart, adjStart int64) {
@@ -434,12 +447,8 @@ func (d *Detector) Finish() {
 		return
 	}
 	if len(d.pending) > 0 {
-		d.ProcessProfile(d.pending)
+		d.ProcessProfileIDs(d.pending)
 		d.pending = d.pending[:0]
-	}
-	if len(d.pendingIDs) > 0 {
-		d.ProcessProfileIDs(d.pendingIDs)
-		d.pendingIDs = d.pendingIDs[:0]
 	}
 	d.endPhase(d.n, d.phaseSignature())
 	if d.probe != nil {
@@ -458,32 +467,23 @@ func (d *Detector) Phases() []interval.Interval { return d.phases }
 // first reported P. Valid after Finish.
 func (d *Detector) AdjustedPhases() []interval.Interval { return d.adjPhases }
 
-// RunTrace drives a fresh pass of the whole trace through the detector in
-// skip-factor groups and finishes it. It returns the detector for
-// chaining.
+// RunTrace drives a fresh pass of the whole trace through the detector
+// and finishes it: ProcessBatch over the whole trace, whose
+// chunk-size-agnostic grouping gives exactly the output of skip-factor
+// groups. It returns the detector for chaining.
 func RunTrace(d *Detector, tr trace.Trace) *Detector {
-	skip := d.skip
-	for i := 0; i < len(tr); i += skip {
-		end := i + skip
-		if end > len(tr) {
-			end = len(tr)
-		}
-		d.ProcessProfile(tr[i:end])
-	}
+	d.ProcessBatch(tr)
 	d.Finish()
 	return d
 }
 
 // RunTraceInterned drives a fresh pass of a pre-interned trace through
-// the detector on the ID-native fast path: the model is bound to the
-// stream's symbol table (when it supports binding), then consumes
-// skip-factor slices of the shared ID stream in place — no per-element
-// hashing, no copying. Output is identical to RunTrace over the
-// equivalent raw trace.
+// the detector: the detector is bound to the stream's symbol table, then
+// consumes skip-factor slices of the shared ID stream in place — no
+// per-element hashing, no copying. Output is identical to RunTrace over
+// the equivalent raw trace.
 func RunTraceInterned(d *Detector, in *trace.Interned) *Detector {
-	if b, ok := d.model.(InternBinder); ok {
-		b.BindInterned(in)
-	}
+	d.Bind(in)
 	ids := in.IDs()
 	skip := d.skip
 	for i := 0; i < len(ids); i += skip {
@@ -511,9 +511,7 @@ func RunTraceInternedContext(ctx context.Context, d *Detector, in *trace.Interne
 		RunTraceInterned(d, in)
 		return nil
 	}
-	if b, ok := d.model.(InternBinder); ok {
-		b.BindInterned(in)
-	}
+	d.Bind(in)
 	ids := in.IDs()
 	skip := d.skip
 	for i := 0; i < len(ids); i += skip {

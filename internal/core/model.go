@@ -5,14 +5,19 @@ import "opd/internal/trace"
 // Model is the framework's similarity model component. It consumes profile
 // elements, maintains its window representation, and produces one
 // similarity value per consumed group.
+//
+// Elements reach a model as dense IDs into the detector's symbol table:
+// the detector interns Branch input at its boundary, so a model never
+// sees the representation the caller used.
 type Model interface {
-	// UpdateWindows consumes the next skipFactor profile elements.
-	UpdateWindows(elems []trace.Branch)
-	// UpdateWindowsIDs consumes the next skipFactor elements in
-	// pre-interned dense-ID form (trace.Interned). A run must feed the
-	// model exclusively through one of the two entry points, and callers
-	// must bind the stream's symbol table first when the model implements
-	// InternBinder; RunTraceInterned handles both.
+	// BindSymbols points the model at the detector's symbol table:
+	// syms[id] is the profile element with dense ID id. The detector
+	// calls it before the first group that uses an ID and again whenever
+	// the table grows; each call passes an extension of the previous
+	// table, so an ID never changes meaning.
+	BindSymbols(syms []trace.Branch)
+	// UpdateWindowsIDs consumes the next skipFactor elements as dense IDs
+	// into the bound table.
 	UpdateWindowsIDs(ids []int32)
 	// ComputeSimilarity returns the similarity of the current windows.
 	// ok is false while the windows have not yet filled, during which the
@@ -28,32 +33,22 @@ type Model interface {
 	ClearWindows()
 }
 
-// InternBinder is implemented by models that accept a pre-interned
-// trace's symbol table ahead of an ID-native run, letting them size
-// internal state up-front and skip per-element interning.
-type InternBinder interface {
-	BindInterned(in *trace.Interned)
-}
-
-// SymbolDecoder is an embeddable helper for Branch-native custom models
-// running under the interned fast path: BindInterned captures the
-// stream's symbol table and Decode rehydrates an ID group into a
-// reusable Branch buffer, so such models satisfy the ID entry point by
-// delegating to their UpdateWindows.
+// SymbolDecoder is an embeddable helper for Branch-native custom models:
+// BindSymbols captures the detector's symbol table and Decode rehydrates
+// an ID group into a reusable Branch buffer.
 type SymbolDecoder struct {
 	syms []trace.Branch
 	buf  []trace.Branch
 }
 
-// BindInterned implements InternBinder.
-func (s *SymbolDecoder) BindInterned(in *trace.Interned) { s.syms = in.Symbols() }
+// BindSymbols implements the Model method.
+func (s *SymbolDecoder) BindSymbols(syms []trace.Branch) { s.syms = syms }
 
 // Decode maps an ID group back to profile elements. The returned slice is
-// reused by the next call. It panics if no symbol table is bound — an
-// ID-native run over an unbound model is a programming error.
+// reused by the next call. It panics if no symbol table is bound.
 func (s *SymbolDecoder) Decode(ids []int32) []trace.Branch {
 	if s.syms == nil {
-		panic("core: SymbolDecoder: Decode before BindInterned")
+		panic("core: SymbolDecoder: Decode before BindSymbols")
 	}
 	if cap(s.buf) < len(ids) {
 		s.buf = make([]trace.Branch, len(ids))
@@ -73,14 +68,11 @@ type SetModel struct {
 	anchor AnchorPolicy
 	resize ResizePolicy
 	win    *windows
-	intern map[trace.Branch]int32 // Branch path: lazily built per-model
-	syms   []trace.Branch         // ID path: shared symbol table
-	last   []int32                // most recent batch; may alias the shared ID stream
-	own    []int32                // Branch path's owned backing for last
+	syms   []trace.Branch // the detector's symbol table
+	last   []int32        // most recent batch; aliases the caller's IDs
 }
 
 var _ Model = (*SetModel)(nil)
-var _ InternBinder = (*SetModel)(nil)
 
 // NewSetModel constructs a set model. cwSize and twSize are the window
 // capacities (twSize is the Adaptive TW's initial and nominal size).
@@ -94,84 +86,32 @@ func NewSetModel(kind ModelKind, cwSize, twSize int, policy TWPolicy, anchor Anc
 }
 
 // UsePool attaches a sweep pool: the window counter slices and ring
-// buffer are acquired from it at BindInterned and returned by
+// buffer are acquired from it at the first BindSymbols and returned by
 // ReleaseBuffers. Attach before any elements are consumed.
 func (m *SetModel) UsePool(p *SweepPool) { m.win.pool = p }
 
-// BindInterned implements InternBinder: the shared symbol table replaces
-// the per-model intern map, and the counter slices are sized once from
-// the table's cardinality, so consuming an element is pure slice
-// arithmetic — no hashing, no growth checks.
-func (m *SetModel) BindInterned(in *trace.Interned) {
-	m.syms = in.Symbols()
-	m.win.ensureCap(len(m.syms))
+// BindSymbols implements Model: the counter slices grow to cover the
+// table, so consuming an element is pure slice arithmetic — no hashing,
+// no growth checks.
+func (m *SetModel) BindSymbols(syms []trace.Branch) {
+	m.syms = syms
+	m.win.grow(len(syms))
 }
 
 // ReleaseBuffers returns pooled window buffers to the attached pool. The
 // model must not consume further elements afterwards.
 func (m *SetModel) ReleaseBuffers() { m.win.release() }
 
-// id interns a profile element as a dense small integer, so the window
-// machinery can use slice-indexed counters.
-func (m *SetModel) id(e trace.Branch) int32 {
-	id, ok := m.intern[e]
-	if !ok {
-		if m.intern == nil {
-			m.intern = make(map[trace.Branch]int32)
-		}
-		id = int32(len(m.intern))
-		m.intern[e] = id
-	}
-	return id
-}
-
-// lookupID resolves an element's dense ID without assigning one: via
-// the intern map when the model built one (Branch-path runs, restored
-// snapshots), else by scanning the bound table (tiny, cold paths only).
-func (m *SetModel) lookupID(e trace.Branch) (int32, bool) {
-	if m.intern != nil {
-		id, ok := m.intern[e]
-		return id, ok
-	}
-	for i, s := range m.syms {
-		if s == e {
-			return int32(i), true
-		}
-	}
-	return 0, false
-}
-
-// UpdateWindows pushes the batch into the windows and remembers it for
-// window reinitialization at the next phase end.
-func (m *SetModel) UpdateWindows(elems []trace.Branch) {
-	m.own = m.own[:0]
-	for _, e := range elems {
-		id := m.id(e)
-		m.win.push(id)
-		m.own = append(m.own, id)
-	}
-	m.last = m.own
-}
-
-// UpdateWindowsIDs implements the interned fast path: the batch is
-// already in dense-ID form, so each element is one bounds-check-free
-// counter update. Requires BindInterned (IDs must be covered by the
-// up-front counter sizing); unbound models fall back to the growing push.
+// UpdateWindowsIDs implements Model: each element is one bounds-check-free
+// counter update.
 //
 // The batch is aliased, not copied: its only later reader is
 // ClearWindows, which runs synchronously within the same group, before
-// any caller could reuse the backing array. (The Branch entry point must
-// not be mixed into the same run — see Model.)
+// any caller could reuse the backing array.
 func (m *SetModel) UpdateWindowsIDs(ids []int32) {
 	m.last = ids
-	if m.syms == nil {
-		for _, id := range ids {
-			m.win.push(id)
-		}
-		return
-	}
 	for _, id := range ids {
-		m.win.pushID(id)
+		m.win.push(id)
 	}
 }
 

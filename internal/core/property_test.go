@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -109,9 +110,10 @@ func propertyConfigs() []Config {
 
 // TestInternedPathMatchesMapPath is the equivalence property of the
 // shared-intern engine: over randomized traces and the full config
-// enumeration, the ID-native fast path (RunTraceInterned, with and
-// without a SweepPool) must yield byte-identical phases, adjusted
-// phases, and similarity counts to the legacy per-model map path.
+// enumeration, a run over the pre-interned trace (RunTraceInterned, with
+// and without a SweepPool) must yield byte-identical phases, adjusted
+// phases, and similarity counts to a run over the raw elements, which
+// the detector interns at its boundary (RunTrace).
 func TestInternedPathMatchesMapPath(t *testing.T) {
 	configs := propertyConfigs()
 	equal := func(a, b []interval.Interval) bool {
@@ -130,21 +132,21 @@ func TestInternedPathMatchesMapPath(t *testing.T) {
 		in := trace.Intern(tr)
 		pool := NewSweepPool(in.Cardinality())
 		for _, cfg := range configs {
-			legacy := RunTrace(cfg.MustNew(), tr)
+			branch := RunTrace(cfg.MustNew(), tr)
 			fast := RunTraceInterned(cfg.MustNew(), in)
 			pooled := RunTraceInterned(cfg.MustNewPooled(pool), in)
 			for _, d := range []*Detector{fast, pooled} {
-				if !equal(legacy.Phases(), d.Phases()) {
-					t.Logf("%s: phases diverge: map %v vs interned %v", cfg.ID(), legacy.Phases(), d.Phases())
+				if !equal(branch.Phases(), d.Phases()) {
+					t.Logf("%s: phases diverge: branch %v vs interned %v", cfg.ID(), branch.Phases(), d.Phases())
 					return false
 				}
-				if !equal(legacy.AdjustedPhases(), d.AdjustedPhases()) {
+				if !equal(branch.AdjustedPhases(), d.AdjustedPhases()) {
 					t.Logf("%s: adjusted phases diverge", cfg.ID())
 					return false
 				}
-				if legacy.SimilarityComputations() != d.SimilarityComputations() {
+				if branch.SimilarityComputations() != d.SimilarityComputations() {
 					t.Logf("%s: %d vs %d similarity computations",
-						cfg.ID(), legacy.SimilarityComputations(), d.SimilarityComputations())
+						cfg.ID(), branch.SimilarityComputations(), d.SimilarityComputations())
 					return false
 				}
 			}
@@ -159,8 +161,9 @@ func TestInternedPathMatchesMapPath(t *testing.T) {
 
 // TestInternedPathPhaseSignatures checks the remaining model output the
 // equivalence property does not cover: phase signatures reported through
-// the end-phase hook match between the two paths (as sets; map iteration
-// order differs).
+// the end-phase hook are identical between the two inputs — element for
+// element, since both list the signature in ID order and boundary
+// interning assigns the IDs trace.Intern does.
 func TestInternedPathPhaseSignatures(t *testing.T) {
 	tr := randomStream(3, 900)
 	in := trace.Intern(tr)
@@ -175,30 +178,17 @@ func TestInternedPathPhaseSignatures(t *testing.T) {
 		run(d)
 		return sigs
 	}
-	legacy := collect(func(d *Detector) { RunTrace(d, tr) })
+	branch := collect(func(d *Detector) { RunTrace(d, tr) })
 	fast := collect(func(d *Detector) { RunTraceInterned(d, in) })
-	if len(legacy) == 0 {
+	if len(branch) == 0 {
 		t.Fatal("trace produced no phases; test is vacuous")
 	}
-	if len(legacy) != len(fast) {
-		t.Fatalf("%d legacy signatures vs %d interned", len(legacy), len(fast))
+	if len(branch) != len(fast) {
+		t.Fatalf("%d branch-input signatures vs %d interned", len(branch), len(fast))
 	}
-	asSet := func(sig []trace.Branch) map[trace.Branch]bool {
-		s := make(map[trace.Branch]bool, len(sig))
-		for _, e := range sig {
-			s[e] = true
-		}
-		return s
-	}
-	for i := range legacy {
-		a, b := asSet(legacy[i]), asSet(fast[i])
-		if len(a) != len(b) {
-			t.Fatalf("signature %d: %d elements vs %d", i, len(a), len(b))
-		}
-		for e := range a {
-			if !b[e] {
-				t.Fatalf("signature %d: interned path missing %v", i, e)
-			}
+	for i := range branch {
+		if !slices.Equal(branch[i], fast[i]) {
+			t.Fatalf("signature %d: branch input %v vs interned %v", i, branch[i], fast[i])
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 
 // This file implements detector checkpoint/restore: a versioned,
 // checksummed binary encoding of the complete detector state — window
-// contents, intern table, adaptive-TW anchor state, analyzer running
+// contents, symbol table, adaptive-TW anchor state, analyzer running
 // statistics, phase records, and the ProcessBatch pending partial-group
 // buffer — with the invariant that restore-then-continue is bit-identical
 // to an uninterrupted run. The durability layer (internal/durable,
@@ -30,7 +30,7 @@ import (
 //	     detector  flag byte (finished/inPhase/haveSim/state); stream
 //	               counters; pending group; raw + adjusted phase lists
 //	     analyzer  running statistics (Average count+sum; Threshold none)
-//	     model     intern table (id -> Branch); window buffer (dense IDs);
+//	     model     symbol table (id -> Branch); window buffer (dense IDs);
 //	               TW length, window stream indices, anchored/filled flags;
 //	               overlap set in maintained order
 //	u32  CRC-32C over every preceding byte
@@ -132,19 +132,11 @@ func (d *Detector) Snapshot() ([]byte, error) {
 	w.varint(d.simCount)
 	w.varint(d.lastFlipAt)
 	w.f64(d.lastSim)
-	// The pending partial group persists in Branch form regardless of
-	// which entry point buffered it, keeping one layout for both: an
-	// ID-form group decodes through the bound table here and is adopted
-	// back into ID form by the first ProcessBatchIDs after restore.
-	if len(d.pendingIDs) > 0 && sm.syms == nil {
-		return nil, errors.New("core: snapshot: pending ID group without a bound symbol table")
-	}
-	w.uvarint(uint64(len(d.pending) + len(d.pendingIDs)))
-	for _, b := range d.pending {
-		w.uvarint(uint64(b))
-	}
-	for _, id := range d.pendingIDs {
-		w.uvarint(uint64(sm.syms[id]))
+	// The pending partial group persists in Branch form, decoded through
+	// the symbol table; restore interns it back.
+	w.uvarint(uint64(len(d.pending)))
+	for _, id := range d.pending {
+		w.uvarint(uint64(d.syms[id]))
 	}
 	w.intervals(d.phases)
 	w.intervals(d.adjPhases)
@@ -155,16 +147,9 @@ func (d *Detector) Snapshot() ([]byte, error) {
 		w.f64(avg.sum)
 	}
 
-	// Model: intern table, window buffer, overlap set.
-	table := sm.syms
-	if table == nil {
-		table = make([]trace.Branch, len(sm.intern))
-		for b, id := range sm.intern {
-			table[id] = b
-		}
-	}
-	w.uvarint(uint64(len(table)))
-	for _, b := range table {
+	// Model: symbol table, window buffer, overlap set.
+	w.uvarint(uint64(len(d.syms)))
+	for _, b := range d.syms {
 		w.uvarint(uint64(b))
 	}
 	win := sm.win
@@ -256,9 +241,9 @@ func RestoreDetector(data []byte) (*Detector, Config, error) {
 	if r.err == nil && nPending >= uint64(d.skip) {
 		return nil, cfg, fmt.Errorf("%w: pending group of %d with skip factor %d", ErrSnapshot, nPending, d.skip)
 	}
-	d.pending = make([]trace.Branch, 0, capAlloc(nPending))
+	pending := make([]trace.Branch, 0, capAlloc(nPending))
 	for i := uint64(0); i < nPending && r.err == nil; i++ {
-		d.pending = append(d.pending, trace.Branch(r.uvarint()))
+		pending = append(pending, trace.Branch(r.uvarint()))
 	}
 	d.phases = r.intervals()
 	d.adjPhases = r.intervals()
@@ -312,21 +297,26 @@ func RestoreDetector(data []byte) (*Detector, Config, error) {
 		return nil, cfg, fmt.Errorf("%w: TW length %d exceeds window buffer %d", ErrSnapshot, twLen, len(win.buf))
 	}
 
-	// Rebuild the model's derived state: the intern map from the table,
-	// the counter slices from the window buffer segments, and the overlap
-	// index from the persisted set.
-	sm.intern = make(map[trace.Branch]int32, len(table))
+	// Rebuild the derived state: the detector's table and index from the
+	// persisted table, the counter slices from the window buffer segments,
+	// and the overlap index from the persisted set. The pending group
+	// interns into the table last: a snapshot taken before the detector
+	// interned at its boundary may hold pending elements its table lacks,
+	// and they take the next IDs in arrival order, as they would have.
+	d.table = trace.NewInternedBuilder(0)
 	for id, b := range table {
-		if _, dup := sm.intern[b]; dup {
+		if d.table.Intern(b) != int32(id) {
 			return nil, cfg, fmt.Errorf("%w: duplicate intern table entry %v", ErrSnapshot, b)
 		}
-		sm.intern[b] = int32(id)
+	}
+	for _, b := range pending {
+		d.pending = append(d.pending, d.table.Intern(b))
 	}
 	win.head = 0
 	win.twLen = int(twLen)
 	win.anchored = wflags&snapAnchored != 0
 	win.filled = wflags&snapFilled != 0
-	win.ensureCap(len(table))
+	d.bindTable(d.table)
 	for _, id := range win.buf[:twLen] {
 		win.twCounts[id]++
 	}

@@ -22,34 +22,20 @@ type Signaturer interface {
 }
 
 // PhaseSignature implements Signaturer: the distinct elements of the
-// trailing window. Under the Adaptive TW policy the TW holds (a
-// representation of) the whole phase, making this the phase's working
+// trailing window, in ID order. Under the Adaptive TW policy the TW holds
+// (a representation of) the whole phase, making this the phase's working
 // set; the current window is deliberately excluded because at a phase end
 // it already holds the *next* behaviour's elements, which would pollute
 // the signature. When the TW is empty (immediately after a flush), the CW
 // is used as the fallback.
 func (m *SetModel) PhaseSignature() []trace.Branch {
-	useTW := m.win.twLen > 0
-	if m.syms != nil {
-		// ID-native run: the shared symbol table maps IDs back to elements.
-		sig := make([]trace.Branch, 0, 16)
-		counts := m.win.cwCounts
-		if useTW {
-			counts = m.win.twCounts
-		}
-		for id, e := range m.syms {
-			if id < len(counts) && counts[id] > 0 {
-				sig = append(sig, e)
-			}
-		}
-		return sig
+	counts := m.win.cwCounts
+	if m.win.twLen > 0 {
+		counts = m.win.twCounts
 	}
-	sig := make([]trace.Branch, 0, len(m.intern))
-	for e, id := range m.intern {
-		if int(id) >= len(m.win.cwCounts) {
-			continue
-		}
-		if (useTW && m.win.twCounts[id] > 0) || (!useTW && m.win.cwCounts[id] > 0) {
+	sig := make([]trace.Branch, 0, 16)
+	for id, e := range m.syms {
+		if counts[id] > 0 {
 			sig = append(sig, e)
 		}
 	}

@@ -48,7 +48,7 @@ func TestTrackerBelowThresholdIsNewPhase(t *testing.T) {
 
 func TestSetModelPhaseSignature(t *testing.T) {
 	m := NewSetModel(UnweightedModel, 3, 3, AdaptiveTW, AnchorRN, ResizeSlide)
-	m.UpdateWindows([]trace.Branch{el(1), el(2), el(1), el(2), el(1), el(2)})
+	feedModel(m, trace.NewInternedBuilder(0), []trace.Branch{el(1), el(2), el(1), el(2), el(1), el(2)})
 	sig := m.PhaseSignature()
 	if len(sig) != 2 {
 		t.Fatalf("signature = %v, want the two distinct elements", sig)
@@ -65,6 +65,17 @@ func TestSetModelPhaseSignature(t *testing.T) {
 	if sig := m.PhaseSignature(); len(sig) == 0 {
 		t.Error("signature after clear should include the reinitialized CW")
 	}
+}
+
+// feedModel interns elems through the table b, binds m to it, and
+// consumes them as one group.
+func feedModel(m Model, b *trace.InternedBuilder, elems []trace.Branch) {
+	ids := make([]int32, len(elems))
+	for i, e := range elems {
+		ids[i] = b.Intern(e)
+	}
+	m.BindSymbols(b.Symbols())
+	m.UpdateWindowsIDs(ids)
 }
 
 // recurringTrace alternates two behaviours: A B A B A, with glue between.

@@ -2,10 +2,10 @@ package core
 
 // windows maintains the trailing window and current window over the
 // element stream as one contiguous buffer: buf[head : head+twLen] is the
-// TW and everything after it is the CW. Elements are interned small
-// integers (the SetModel maps profile elements to dense IDs), so all
-// multiset counters are plain slices and consuming one element costs O(1)
-// array operations regardless of window sizes.
+// TW and everything after it is the CW. Elements are dense IDs into the
+// detector's symbol table, so all multiset counters are plain slices and
+// consuming one element costs O(1) array operations regardless of window
+// sizes.
 type windows struct {
 	cwSize int
 	twSize int
@@ -41,34 +41,12 @@ func newWindows(cwSize, twSize int, policy TWPolicy) *windows {
 
 func (w *windows) cwLen() int { return len(w.buf) - w.head - w.twLen }
 
-// grow ensures the counter slices cover id, rounding capacity up to the
-// next power of two so a stream of fresh IDs costs amortized O(1) per
-// element rather than one reallocation each. The interned fast path never
-// reaches the reallocation: ensureCap sizes the slices once from the
-// symbol-table cardinality.
-func (w *windows) grow(id int32) {
-	if int(id) < len(w.cwCounts) {
-		return
-	}
-	n := 8
-	for n <= int(id) {
-		n <<= 1
-	}
-	cw := make([]int32, n)
-	copy(cw, w.cwCounts)
-	w.cwCounts = cw
-	tw := make([]int32, n)
-	copy(tw, w.twCounts)
-	w.twCounts = tw
-	op := make([]int32, n)
-	copy(op, w.overlapPos)
-	w.overlapPos = op
-}
-
-// ensureCap sizes the counter slices for IDs in [0, n) up-front — from
-// the pool when one is attached — so subsequent pushes skip growth checks
-// entirely.
-func (w *windows) ensureCap(n int) {
+// grow ensures the counter slices cover IDs in [0, n). A pooled window's
+// first slices come from the pool, which sizes them for the whole trace
+// up front. Otherwise capacity rounds up to the next power of two, so a
+// symbol table that gains a few symbols per chunk costs amortized O(1)
+// copying per symbol rather than a full copy of every slice each time.
+func (w *windows) grow(n int) {
 	if n <= len(w.cwCounts) {
 		return
 	}
@@ -79,13 +57,17 @@ func (w *windows) ensureCap(n int) {
 		w.buf = w.pool.windowBuf()
 		return
 	}
-	cw := make([]int32, n)
+	size := 8
+	for size < n {
+		size <<= 1
+	}
+	cw := make([]int32, size)
 	copy(cw, w.cwCounts)
 	w.cwCounts = cw
-	tw := make([]int32, n)
+	tw := make([]int32, size)
 	copy(tw, w.twCounts)
 	w.twCounts = tw
-	op := make([]int32, n)
+	op := make([]int32, size)
 	copy(op, w.overlapPos)
 	w.overlapPos = op
 }
@@ -157,16 +139,9 @@ func (w *windows) removeTW(id int32) {
 }
 
 // push consumes one element into the CW, shifting overflow into the TW and
-// dropping from the TW's far end when the policy bounds it.
+// dropping from the TW's far end when the policy bounds it. The counter
+// slices must already cover id (grow).
 func (w *windows) push(id int32) {
-	w.grow(id)
-	w.pushID(id)
-}
-
-// pushID is push for pre-interned elements whose IDs are already covered
-// by the counter slices (ensureCap was called with the symbol-table
-// cardinality): the growth check is gone from the per-element path.
-func (w *windows) pushID(id int32) {
 	w.buf = append(w.buf, id)
 	w.nextIndex++
 	w.addCW(id)
@@ -314,7 +289,6 @@ func (w *windows) clear(lastBatch []int32) {
 	w.filled = false
 	w.firstIndex = w.nextIndex - int64(len(lastBatch))
 	for _, id := range lastBatch {
-		w.grow(id)
 		w.buf = append(w.buf, id)
 		w.addCW(id)
 	}

@@ -10,8 +10,10 @@ import (
 // el builds a profile element at offset off in method 0.
 func el(off int) trace.Branch { return trace.MakeBranch(0, off, true) }
 
+// pushAll pushes ids, growing the counter slices to cover each first.
 func pushAll(w *windows, ids ...int32) {
 	for _, id := range ids {
+		w.grow(int(id) + 1)
 		w.push(id)
 	}
 }
@@ -93,7 +95,7 @@ func TestWeightedSimilarityPaperExample(t *testing.T) {
 	w := newWindows(10, 100, ConstantTW)
 	push := func(id int32, n int) {
 		for i := 0; i < n; i++ {
-			w.push(id)
+			pushAll(w, id)
 		}
 	}
 	// Fill TW first (oldest elements), then CW.
@@ -211,7 +213,7 @@ func TestAnchoredTWGrowsUnbounded(t *testing.T) {
 	pushAll(w, 1, 1, 1, 1)
 	w.anchorAt(0, ResizeSlide)
 	for i := 0; i < 100; i++ {
-		w.push(1)
+		pushAll(w, 1)
 	}
 	if w.twLen != 102 {
 		t.Errorf("anchored TW length = %d, want 102", w.twLen)
@@ -266,6 +268,7 @@ func TestOverlapInvariant(t *testing.T) {
 	// Randomized pushes with periodic anchor/clear: the overlap counter
 	// must always equal the recomputed ground truth.
 	w := newWindows(5, 7, AdaptiveTW)
+	w.grow(12)
 	rng := int64(42)
 	next := func(n int) int {
 		rng = rng*6364136223846793005 + 1442695040888963407
@@ -295,7 +298,7 @@ func TestOverlapInvariant(t *testing.T) {
 		}
 	}
 	for i := 0; i < 5000; i++ {
-		w.push(int32(next(12)))
+		pushAll(w, int32(next(12)))
 		check(i)
 		switch next(100) {
 		case 0:
@@ -314,7 +317,7 @@ func TestOverlapInvariant(t *testing.T) {
 func TestCompaction(t *testing.T) {
 	w := newWindows(4, 4, ConstantTW)
 	for i := 0; i < 50000; i++ {
-		w.push(int32(i % 9))
+		pushAll(w, int32(i%9))
 	}
 	if len(w.buf) > 10000 {
 		t.Errorf("buffer not compacted: len %d", len(w.buf))

@@ -89,11 +89,12 @@ type BBVModel struct {
 }
 
 var _ core.Model = (*BBVModel)(nil)
-var _ core.InternBinder = (*BBVModel)(nil)
 
-// UpdateWindows implements core.Model: each consumed group is one sample
-// window, normalized to a unit-sum frequency vector.
-func (m *BBVModel) UpdateWindows(elems []trace.Branch) {
+// UpdateWindowsIDs implements core.Model: each consumed group is one
+// sample window, decoded through the bound symbol table and normalized to
+// a unit-sum frequency vector.
+func (m *BBVModel) UpdateWindowsIDs(ids []int32) {
+	elems := m.Decode(ids)
 	m.probe.Window()
 	m.prev, m.havePrev = m.cur, m.cur != nil
 	m.cur = make(map[trace.Branch]float64, len(m.prev))
@@ -106,13 +107,6 @@ func (m *BBVModel) UpdateWindows(elems []trace.Branch) {
 	}
 	m.consumed += int64(len(elems))
 	m.lastLen = len(elems)
-}
-
-// UpdateWindowsIDs implements core.Model by rehydrating the ID group
-// through the bound symbol table; the histogramming itself is
-// Branch-keyed.
-func (m *BBVModel) UpdateWindowsIDs(ids []int32) {
-	m.UpdateWindows(m.Decode(ids))
 }
 
 // ComputeSimilarity implements core.Model: 1 - manhattan/2 over the two
@@ -181,10 +175,10 @@ type LuModel struct {
 }
 
 var _ core.Model = (*LuModel)(nil)
-var _ core.InternBinder = (*LuModel)(nil)
 
-// UpdateWindows implements core.Model.
-func (m *LuModel) UpdateWindows(elems []trace.Branch) {
+// UpdateWindowsIDs implements core.Model via the bound symbol table.
+func (m *LuModel) UpdateWindowsIDs(ids []int32) {
+	elems := m.Decode(ids)
 	m.probe.Window()
 	for _, e := range elems {
 		// The "PC" of a profile element is its static site identity.
@@ -192,11 +186,6 @@ func (m *LuModel) UpdateWindows(elems []trace.Branch) {
 		m.curN++
 	}
 	m.consumed += int64(len(elems))
-}
-
-// UpdateWindowsIDs implements core.Model via the bound symbol table.
-func (m *LuModel) UpdateWindowsIDs(ids []int32) {
-	m.UpdateWindows(m.Decode(ids))
 }
 
 // ComputeSimilarity implements core.Model: it folds the just-completed
@@ -295,11 +284,11 @@ type PearsonModel struct {
 }
 
 var _ core.Model = (*PearsonModel)(nil)
-var _ core.InternBinder = (*PearsonModel)(nil)
 
-// UpdateWindows implements core.Model: each consumed group is one sample
-// window.
-func (m *PearsonModel) UpdateWindows(elems []trace.Branch) {
+// UpdateWindowsIDs implements core.Model: each consumed group is one
+// sample window, decoded through the bound symbol table.
+func (m *PearsonModel) UpdateWindowsIDs(ids []int32) {
+	elems := m.Decode(ids)
 	m.probe.Window()
 	m.prev, m.havePrev = m.cur, m.cur != nil
 	m.cur = make(map[trace.Branch]int, len(m.prev))
@@ -308,11 +297,6 @@ func (m *PearsonModel) UpdateWindows(elems []trace.Branch) {
 	}
 	m.consumed += int64(len(elems))
 	m.lastLen = len(elems)
-}
-
-// UpdateWindowsIDs implements core.Model via the bound symbol table.
-func (m *PearsonModel) UpdateWindowsIDs(ids []int32) {
-	m.UpdateWindows(m.Decode(ids))
 }
 
 // ComputeSimilarity implements core.Model.

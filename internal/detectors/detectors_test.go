@@ -120,14 +120,26 @@ func TestDasDetectsHistogramShift(t *testing.T) {
 	}
 }
 
+// feed interns elems through the table b, binds m to it, and consumes
+// them as one group, as a detector would.
+func feed(m core.Model, b *trace.InternedBuilder, elems trace.Trace) {
+	ids := make([]int32, len(elems))
+	for i, e := range elems {
+		ids[i] = b.Intern(e)
+	}
+	m.BindSymbols(b.Symbols())
+	m.UpdateWindowsIDs(ids)
+}
+
 func TestPearsonModelIdenticalWindows(t *testing.T) {
 	m := &PearsonModel{}
+	tab := trace.NewInternedBuilder(0)
 	batch := stream(1, 10, 2, 20)
-	m.UpdateWindows(batch)
+	feed(m, tab, batch)
 	if _, ok := m.ComputeSimilarity(); ok {
 		t.Error("ready with a single window")
 	}
-	m.UpdateWindows(batch)
+	feed(m, tab, batch)
 	sim, ok := m.ComputeSimilarity()
 	if !ok || sim != 1 {
 		t.Errorf("identical windows similarity = %f (ok=%v), want 1", sim, ok)
@@ -181,17 +193,18 @@ func TestBBVDetectsMixShift(t *testing.T) {
 
 func TestBBVModelSimilarityValues(t *testing.T) {
 	m := &BBVModel{}
+	tab := trace.NewInternedBuilder(0)
 	a := stream(1, 30, 2, 30)
 	b := stream(3, 30, 4, 30)
-	m.UpdateWindows(a)
+	feed(m, tab, a)
 	if _, ok := m.ComputeSimilarity(); ok {
 		t.Error("ready with one window")
 	}
-	m.UpdateWindows(a)
+	feed(m, tab, a)
 	if sim, ok := m.ComputeSimilarity(); !ok || sim < 0.999 {
 		t.Errorf("identical windows: sim=%f ok=%v, want 1", sim, ok)
 	}
-	m.UpdateWindows(b)
+	feed(m, tab, b)
 	if sim, _ := m.ComputeSimilarity(); sim > 0.001 {
 		t.Errorf("disjoint windows: sim=%f, want 0", sim)
 	}
@@ -200,8 +213,8 @@ func TestBBVModelSimilarityValues(t *testing.T) {
 		t.Error("ready after clear")
 	}
 	// Half-overlapping mixes land in between.
-	m.UpdateWindows(stream(1, 30, 2, 30))
-	m.UpdateWindows(stream(1, 30, 3, 30))
+	feed(m, tab, stream(1, 30, 2, 30))
+	feed(m, tab, stream(1, 30, 3, 30))
 	if sim, ok := m.ComputeSimilarity(); !ok || sim < 0.45 || sim > 0.55 {
 		t.Errorf("half-shared windows: sim=%f, want 0.5", sim)
 	}
@@ -209,14 +222,15 @@ func TestBBVModelSimilarityValues(t *testing.T) {
 
 func TestLuModelZeroVarianceHistory(t *testing.T) {
 	m := &LuModel{sampleWindow: 4, histCap: 3}
+	tab := trace.NewInternedBuilder(0)
 	same := stream(1, 4)
 	for i := 0; i < 4; i++ {
-		m.UpdateWindows(same)
+		feed(m, tab, same)
 		m.ComputeSimilarity()
 	}
 	// History is flat at site 1's value; a window at a different PC must
 	// score as far out of band.
-	m.UpdateWindows(stream(9, 4))
+	feed(m, tab, stream(9, 4))
 	sim, ok := m.ComputeSimilarity()
 	if !ok {
 		t.Fatal("not ready with full history")
@@ -225,7 +239,7 @@ func TestLuModelZeroVarianceHistory(t *testing.T) {
 		t.Errorf("similarity = %g for a shifted window over flat history, want ~0", sim)
 	}
 	// And an identical window scores as perfectly in band.
-	m.UpdateWindows(stream(9, 4))
+	feed(m, tab, stream(9, 4))
 	if sim, _ := m.ComputeSimilarity(); sim < 0.001 {
 		// history still mostly site 1; mixed result acceptable, just probe
 		// the no-crash path

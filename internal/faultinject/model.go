@@ -10,8 +10,7 @@ import (
 // modelShim is the shared delegating base of the chaos models: it wraps a
 // real core.Model, forwards every call, and gives each wrapper one hook
 // (beforeUpdate) invoked with the 1-based group number before the window
-// update runs. The wrappers satisfy core.InternBinder by forwarding the
-// bind, so they run unmodified on the sweep engine's ID-native fast path.
+// update runs.
 type modelShim struct {
 	inner core.Model
 	calls int
@@ -26,32 +25,17 @@ func (m *modelShim) tick() int {
 	return m.calls
 }
 
-func (m *modelShim) UpdateWindows(elems []trace.Branch) {
-	m.tick()
-	m.inner.UpdateWindows(elems)
-}
-
 func (m *modelShim) UpdateWindowsIDs(ids []int32) {
 	m.tick()
 	m.inner.UpdateWindowsIDs(ids)
 }
 
+func (m *modelShim) BindSymbols(syms []trace.Branch)    { m.inner.BindSymbols(syms) }
 func (m *modelShim) ComputeSimilarity() (float64, bool) { return m.inner.ComputeSimilarity() }
 func (m *modelShim) AnchorTrailingWindow() int64        { return m.inner.AnchorTrailingWindow() }
 func (m *modelShim) ClearWindows()                      { m.inner.ClearWindows() }
 
-// BindInterned forwards the symbol-table bind so the wrapped model works
-// on the interned fast path.
-func (m *modelShim) BindInterned(in *trace.Interned) {
-	if b, ok := m.inner.(core.InternBinder); ok {
-		b.BindInterned(in)
-	}
-}
-
-var (
-	_ core.Model        = (*modelShim)(nil)
-	_ core.InternBinder = (*modelShim)(nil)
-)
+var _ core.Model = (*modelShim)(nil)
 
 // NewHookModel wraps inner so hook runs with the 1-based group number
 // before every window update — the general observation/chaos primitive

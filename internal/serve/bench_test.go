@@ -105,3 +105,25 @@ func BenchmarkDirectIngest(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkEventLogPastCap appends to an event log already at its
+// retention cap, so every append also trims the oldest event: the cost a
+// session past -max-events pays per event. It must not grow with the
+// cap.
+func BenchmarkEventLogPastCap(b *testing.B) {
+	for _, max := range []int{1024, 65536} {
+		b.Run(fmt.Sprintf("max%d", max), func(b *testing.B) {
+			s := newSession("bench", benchConfig, benchConfig.MustNew(), max, 1, nil, nil, nil)
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			for i := 0; i < max; i++ {
+				s.appendLocked("phase_start", int64(i), int64(i), 0)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.appendLocked("phase_start", int64(i), int64(i), 0)
+			}
+		})
+	}
+}

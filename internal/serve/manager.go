@@ -17,7 +17,6 @@ import (
 	"opd/internal/core"
 	"opd/internal/durable"
 	"opd/internal/telemetry"
-	"opd/internal/trace"
 )
 
 // Admission errors. Handlers map these onto HTTP statuses (429, 413).
@@ -676,6 +675,23 @@ func (m *Manager) Recover() (recovered, dropped int, err error) {
 	return recovered, dropped, nil
 }
 
+// restoredSession wraps a decoded snapshot in a session, charging its
+// base cost and event log: the restored detector, the event log with its
+// base, and the streaming-protocol state. WAL replay comes after.
+func (m *Manager) restoredSession(id string, rs restoredSnapshot) *Session {
+	s := newSession(id, rs.cfg, rs.det, m.opts.MaxEventsRetained, m.opts.FlightChunks, m.probe, m.res, m.opts.Logger)
+	s.chargeMem(sessionBaseCost(rs.cfg) + int64(len(rs.events))*eventLogBytes)
+	s.events = append(s.events, rs.events...)
+	// Restored events get no wall time: SSE lag across a restart or a
+	// migration is meaningless, and a zero entry tells the stream path to
+	// skip them.
+	s.wall = make([]int64, len(rs.events))
+	s.base = rs.base
+	s.mode = rs.mode
+	s.applied = rs.applied
+	return s
+}
+
 // recoverSession rebuilds one session from its snapshot + WAL tail.
 func (m *Manager) recoverSession(rec *durable.Recovered) (*Session, error) {
 	if rec.Snapshot == nil {
@@ -685,60 +701,13 @@ func (m *Manager) recoverSession(rec *durable.Recovered) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := newSession(rec.ID, rs.cfg, rs.det, m.opts.MaxEventsRetained, m.opts.FlightChunks, m.probe, m.res, m.opts.Logger)
-	s.chargeMem(sessionBaseCost(rs.cfg) + int64(len(rs.events))*eventLogBytes)
-	s.events = append(s.events, rs.events...)
-	// Restored events get no wall time: SSE lag across a restart is
-	// meaningless, and a zero entry tells the stream path to skip them.
-	s.wall = make([]int64, len(rs.events))
-	s.base = rs.base
-	s.mode = rs.mode
-	s.applied = rs.applied
+	s := m.restoredSession(rec.ID, rs)
 	s.log = rec.Log()
 	s.snapEvery = m.opts.SnapshotEvery
-	if s.mode == modeIDs {
-		// Re-seed the negotiated symbol table from the restored model and
-		// re-bind so ID replay (and post-recovery ID ingest) resolves
-		// against it. InternTable returns IDs in assignment order, which
-		// is exactly the negotiated order.
-		s.symtab = rs.det.InternTable()
-		rs.det.Bind(trace.NewInternedTable(s.symtab))
-	}
-replayLoop:
-	for _, payload := range rec.Records {
-		if len(payload) == 0 {
-			break
-		}
-		var rerr error
-		switch payload[0] {
-		case walRecSyms:
-			start, syms, err := trace.DecodeSymsPayload(nil, payload[1:])
-			if err != nil {
-				break replayLoop
-			}
-			rerr = s.replaySyms(start, syms)
-		case walRecIDs:
-			ids, err := trace.DecodeIDsPayload(nil, payload[1:], s.SymbolCount())
-			if err != nil {
-				break replayLoop
-			}
-			rerr = s.replayIDs(ids)
-		default:
-			elems, err := decodeChunk(payload)
-			if err != nil {
-				// The record passed its CRC, so this is our own encoding
-				// bug; the durable prefix ends here. Keep what replayed
-				// cleanly.
-				break replayLoop
-			}
-			rerr = s.replay(elems)
-		}
-		if rerr != nil {
-			// The chunk re-poisoned the session, exactly as it did before
-			// the crash. Keep the failed session inspectable.
-			break
-		}
-	}
+	// The durable prefix ends at the first record that does not decode;
+	// a record that re-poisons the session, exactly as it did before the
+	// crash, leaves the failed session inspectable.
+	_ = s.replayWAL(rec.Records, true)
 	if s.state == StateActive {
 		// Compact: the next crash recovers from here instead of replaying
 		// the whole tail again. Failure is fine — the WAL still covers it.

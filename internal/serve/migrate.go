@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"opd/internal/core"
-	"opd/internal/trace"
 )
 
 // Migration errors. Handlers map these onto HTTP statuses.
@@ -229,18 +228,12 @@ func (m *Manager) Adopt(id string, blob []byte) (*Session, error) {
 		}
 		m.active.Add(-1)
 	}
-	s := newSession(id, rs.cfg, rs.det, m.opts.MaxEventsRetained, m.opts.FlightChunks, m.probe, m.res, m.opts.Logger)
-	s.chargeMem(sessionBaseCost(rs.cfg) + int64(len(rs.events))*eventLogBytes)
-	s.events = append(s.events, rs.events...)
-	s.wall = make([]int64, len(rs.events)) // no wall time: lag across a migration is meaningless
-	s.base = rs.base
-	s.mode = rs.mode
-	s.applied = rs.applied
-	if s.mode == modeIDs {
-		s.symtab = rs.det.InternTable()
-		rs.det.Bind(trace.NewInternedTable(s.symtab))
-	}
-	if err := m.replayRecords(s, records); err != nil {
+	s := m.restoredSession(id, rs)
+	// Unlike boot recovery, which keeps a poisoned session inspectable,
+	// adoption fails outright on the first bad record: the donor's copy
+	// still exists (or the gateway holds the blob), so refusing a bad
+	// import is safe and a half-replayed adoptee is not.
+	if err := s.replayWAL(records, false); err != nil {
 		release(s)
 		return nil, fmt.Errorf("serve: adopt %s: %w", id, err)
 	}
@@ -286,45 +279,6 @@ func (m *Manager) AdoptFresh(id string, cfg core.Config) (*Session, error) {
 		return nil, ErrAdoptExists
 	}
 	return m.openAs(id, cfg)
-}
-
-// replayRecords replays a migration blob's WAL tail into a freshly
-// restored session, mirroring crash recovery's dispatch on the record
-// type byte. Unlike recovery — which keeps a poisoned session
-// inspectable — adoption fails outright: the donor's copy still exists
-// (or the gateway holds the blob), so refusing a bad import is safe and
-// a half-replayed adoptee is not.
-func (m *Manager) replayRecords(s *Session, records [][]byte) error {
-	for i, payload := range records {
-		if len(payload) == 0 {
-			return fmt.Errorf("empty WAL record %d", i)
-		}
-		var rerr error
-		switch payload[0] {
-		case walRecSyms:
-			start, syms, err := trace.DecodeSymsPayload(nil, payload[1:])
-			if err != nil {
-				return fmt.Errorf("WAL record %d: %w", i, err)
-			}
-			rerr = s.replaySyms(start, syms)
-		case walRecIDs:
-			ids, err := trace.DecodeIDsPayload(nil, payload[1:], s.SymbolCount())
-			if err != nil {
-				return fmt.Errorf("WAL record %d: %w", i, err)
-			}
-			rerr = s.replayIDs(ids)
-		default:
-			elems, err := decodeChunk(payload)
-			if err != nil {
-				return fmt.Errorf("WAL record %d: %w", i, err)
-			}
-			rerr = s.replay(elems)
-		}
-		if rerr != nil {
-			return fmt.Errorf("WAL record %d: %w", i, rerr)
-		}
-	}
-	return nil
 }
 
 // Draining reports whether the manager has begun shutting down (or was

@@ -35,10 +35,9 @@ var ErrPersist = errors.New("serve: session persistence failed")
 // through the detector hooks, continuing the sequence exactly. The mode
 // and cursor restore the streaming-protocol state: a version-1 snapshot
 // (written before the streaming protocol existed) implies branch mode
-// with a zero cursor. The dense-ID symbol table is NOT stored here — it
-// is recovered from the detector snapshot's own model state via
-// Detector.InternTable, which is exactly the negotiated table because ID
-// sessions assign IDs in first-appearance order.
+// with a zero cursor. The dense-ID symbol table is NOT stored here: the
+// detector snapshot carries the detector's own symbol table, which in an
+// ID-mode session is the negotiated table.
 const (
 	sessSnapMagic   = "OPDSESS1"
 	sessSnapVersion = 2
@@ -179,6 +178,53 @@ func decodeSessionSnapshot(data []byte) (restoredSnapshot, error) {
 		return fail("trailing bytes")
 	}
 	return rs, nil
+}
+
+// replayWAL replays WAL records into a freshly restored session,
+// dispatching on the record-type byte: symbol extensions and dense-ID
+// chunks rebuild an ID-mode session's table and stream, and raw branch
+// chunks go through ProcessBatch, which re-interns them to the IDs they
+// had. keepPrefix selects boot recovery's policy: replay stops without
+// error at the first record that does not decode (the durable prefix
+// ends there) or that re-poisons the session. Otherwise (adoption) that
+// record fails the replay.
+func (s *Session) replayWAL(records [][]byte, keepPrefix bool) error {
+	for i, payload := range records {
+		if err := s.replayRecord(payload); err != nil {
+			if keepPrefix {
+				return nil
+			}
+			return fmt.Errorf("WAL record %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// replayRecord applies one WAL record.
+func (s *Session) replayRecord(payload []byte) error {
+	if len(payload) == 0 {
+		return errors.New("empty WAL record")
+	}
+	switch payload[0] {
+	case walRecSyms:
+		start, syms, err := trace.DecodeSymsPayload(nil, payload[1:])
+		if err != nil {
+			return err
+		}
+		return s.replaySyms(start, syms)
+	case walRecIDs:
+		ids, err := trace.DecodeIDsPayload(nil, payload[1:], s.SymbolCount())
+		if err != nil {
+			return err
+		}
+		return s.replayIDs(ids)
+	default:
+		elems, err := decodeChunk(payload)
+		if err != nil {
+			return err
+		}
+		return s.replay(elems)
+	}
 }
 
 // encodeChunk serializes one decoded chunk as a WAL record payload: the

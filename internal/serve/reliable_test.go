@@ -353,7 +353,7 @@ func TestRetryAfterDateHonored(t *testing.T) {
 	hits := make(chan time.Time, 4)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits <- time.Now()
-		w.Header().Set("Retry-After", time.Now().Add(time.Second).UTC().Format(http.TimeFormat))
+		w.Header().Set("Retry-After", time.Now().Add(1500*time.Millisecond).UTC().Format(http.TimeFormat))
 		w.WriteHeader(http.StatusTooManyRequests)
 	}))
 	defer ts.Close()
@@ -369,11 +369,12 @@ func TestRetryAfterDateHonored(t *testing.T) {
 		t.Fatalf("open against a shedding server: %v, want ErrRetriesExhausted", err)
 	}
 	first, second := <-hits, <-hits
-	// The date form has one-second resolution, so the hint lands in
-	// (0, 1s] and the observed gap must reflect it (not the 10-50ms
-	// fallback backoff).
-	if hinted <= 0 || hinted > time.Second {
-		t.Fatalf("surfaced hint %v, want within (0, 1s]", hinted)
+	// The date form has one-second resolution, so a date 1.5s ahead
+	// yields a hint in (500ms, 1.5s], wherever in its second the clock
+	// is, and the observed gap must reflect it (not the 10-50ms fallback
+	// backoff).
+	if hinted <= 200*time.Millisecond || hinted > 1500*time.Millisecond {
+		t.Fatalf("surfaced hint %v, want within (200ms, 1.5s]", hinted)
 	}
 	if gap := second.Sub(first); gap < 200*time.Millisecond {
 		t.Errorf("retry gap %v: HTTP-date Retry-After not honored", gap)

@@ -167,6 +167,18 @@ func TestEventTrimDebitsAccountant(t *testing.T) {
 	if retained > 8 {
 		t.Fatalf("retained %d events, cap 8", retained)
 	}
+	// A poller from seq 0 skips the trimmed prefix: it gets exactly the
+	// retained tail, the newest events, with consecutive seqs.
+	evs, wall, next, _ := s.eventsSinceWall(0)
+	if int64(len(evs)) != retained || len(wall) != len(evs) || next != uint64(dropped)+uint64(retained) {
+		t.Fatalf("EventsSince(0): %d events, %d wall stamps, next %d; want %d, %d, %d",
+			len(evs), len(wall), next, retained, retained, uint64(dropped)+uint64(retained))
+	}
+	for i, e := range evs {
+		if e.Seq != uint64(dropped)+uint64(i) {
+			t.Fatalf("event %d has seq %d, want %d", i, e.Seq, uint64(dropped)+uint64(i))
+		}
+	}
 	want := sessionBaseCost(resilienceConfig) + retained*eventLogBytes
 	if got := s.memBytes.Load(); got != want {
 		t.Errorf("session tab %d bytes, want %d (base %d + %d events)",

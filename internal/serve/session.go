@@ -59,8 +59,9 @@ var (
 // start in branch mode (chunks carry raw profile elements); a streaming
 // client may latch a *fresh* session into dense-ID mode, after which
 // elements arrive as IDs into a client-fed symbol table and branch-form
-// ingest is refused — the two representations assign IDs independently
-// and must not interleave within one detector run.
+// ingest is refused. The detector would take both, but the latch is wire
+// protocol: a client's IDs mean something only against the table it
+// negotiated, and a branch chunk would add IDs the client never saw.
 type sessionMode uint8
 
 const (
@@ -152,14 +153,12 @@ type Session struct {
 	// reconnect to the new home instead of completing.
 	migrated bool
 
-	// Streaming ingest state. mode latches once (see sessionMode);
-	// symtab mirrors the client's negotiated symbol table in dense-ID
-	// mode (the detector's model aliases it via Bind, so every
-	// extension re-binds); applied counts successfully applied data
-	// chunks on every ingest path — the resume cursor a reconnecting
-	// streaming client uses to skip chunks the server already has.
+	// Streaming ingest state. mode latches once (see sessionMode); in
+	// dense-ID mode the detector's own symbol table is the client's
+	// negotiated table. applied counts successfully applied data chunks
+	// on every ingest path — the resume cursor a reconnecting streaming
+	// client uses to skip chunks the server already has.
 	mode    sessionMode
-	symtab  []trace.Branch
 	applied uint64
 	// streamGen is the handshake generation: StreamHello bumps it and
 	// every frame from a streaming connection carries the generation it
@@ -303,8 +302,11 @@ func (s *Session) appendLocked(kind string, at, v1, v2 int64) {
 	s.chargeMem(eventLogBytes)
 	if s.maxEvents > 0 && len(s.events) > s.maxEvents {
 		drop := len(s.events) - s.maxEvents
-		s.events = append(s.events[:0], s.events[drop:]...)
-		s.wall = append(s.wall[:0], s.wall[drop:]...)
+		// Re-slicing past the dropped prefix is O(1); append reallocates,
+		// copying only the retained log, once the slack behind it runs
+		// out, so trimming costs amortized O(1) per event.
+		s.events = s.events[drop:]
+		s.wall = s.wall[drop:]
 		s.base += uint64(drop)
 		// Trimmed events leave the log, so they leave the accountant's
 		// books too, and the drop is visible in metrics — a poller whose
@@ -604,41 +606,42 @@ func (s *Session) ExtendSymbols(gen uint64, payload []byte, start uint64, syms [
 			return fmt.Errorf("%w: %w", ErrPersist, err)
 		}
 	}
-	s.applySymsLocked(start, syms)
-	return nil
+	return s.applySymsLocked(start, syms)
 }
 
 // checkSymsLocked validates a symbol-extension frame against the current
-// table without mutating anything: no gaps, and the overlap (replayed
-// symbols) must match the table exactly.
+// table without mutating anything: no gaps, the overlap (replayed
+// symbols) must match the table exactly, and the new tail must give no
+// element a second ID.
 func (s *Session) checkSymsLocked(start uint64, syms []trace.Branch) error {
-	have := uint64(len(s.symtab))
+	table := s.det.Symbols()
+	have := uint64(len(table))
 	if start > have {
 		return fmt.Errorf("serve: symbol frame leaves a gap: table has %d symbols, frame starts at %d", have, start)
 	}
 	for i, sym := range syms {
 		idx := start + uint64(i)
 		if idx >= have {
+			if err := s.det.CheckSymbols(syms[i:]); err != nil {
+				return fmt.Errorf("serve: symbol frame at index %d: %w", idx, err)
+			}
 			break
 		}
-		if s.symtab[idx] != sym {
+		if table[idx] != sym {
 			return fmt.Errorf("serve: symbol frame contradicts table at index %d", idx)
 		}
 	}
 	return nil
 }
 
-// applySymsLocked appends the frame's new tail (if any) to the table and
-// re-binds the detector's model. Re-binding is mandatory whenever the
-// table grew: the model aliases the table's backing array, and append
-// may have reallocated it.
-func (s *Session) applySymsLocked(start uint64, syms []trace.Branch) {
-	have := uint64(len(s.symtab))
+// applySymsLocked extends the detector's table with the frame's new tail,
+// if any.
+func (s *Session) applySymsLocked(start uint64, syms []trace.Branch) error {
+	have := uint64(len(s.det.Symbols()))
 	if start+uint64(len(syms)) <= have {
-		return
+		return nil
 	}
-	s.symtab = append(s.symtab, syms[have-start:]...)
-	s.det.Bind(trace.NewInternedTable(s.symtab))
+	return s.det.ExtendSymbols(syms[have-start:])
 }
 
 // SymbolCount returns the size of the session's negotiated symbol table
@@ -646,7 +649,14 @@ func (s *Session) applySymsLocked(start uint64, syms []trace.Branch) {
 func (s *Session) SymbolCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.symtab)
+	return s.symbolCountLocked()
+}
+
+func (s *Session) symbolCountLocked() int {
+	if s.mode != modeIDs {
+		return 0
+	}
+	return len(s.det.Symbols())
 }
 
 // streamState is the session state a streaming handshake reports back to
@@ -681,9 +691,6 @@ func (s *Session) StreamHello(wantIDs bool) (streamState, error) {
 		if s.applied != 0 || s.det.Consumed() != 0 {
 			return st, fmt.Errorf("%w: dense-ID handshake on a session that already consumed elements", ErrModeConflict)
 		}
-		if s.det.InternTable() == nil {
-			return st, fmt.Errorf("%w: session's model does not support dense-ID ingest", ErrModeConflict)
-		}
 		s.mode = modeIDs
 	case !wantIDs && s.mode == modeIDs:
 		return st, fmt.Errorf("%w: branch-mode handshake on a dense-ID session", ErrModeConflict)
@@ -694,7 +701,7 @@ func (s *Session) StreamHello(wantIDs bool) (streamState, error) {
 	st.Applied = s.applied
 	st.Consumed = s.det.Consumed()
 	st.EventsTotal = s.base + uint64(len(s.events))
-	st.Symbols = len(s.symtab)
+	st.Symbols = s.symbolCountLocked()
 	st.Degraded = s.brk.open
 	return st, nil
 }
@@ -785,8 +792,7 @@ func (s *Session) replaySyms(start uint64, syms []trace.Branch) error {
 	if err := s.checkSymsLocked(start, syms); err != nil {
 		return err
 	}
-	s.applySymsLocked(start, syms)
-	return nil
+	return s.applySymsLocked(start, syms)
 }
 
 // replayApply runs one recovered data record through the detector with
@@ -879,11 +885,14 @@ func (s *Session) dropDegradedLocked() {
 // the state moves to StateClosed, and subscribers are woken so live
 // streams can drain and end. Idempotent; a failed session keeps its
 // failure state (Finish on a half-mutated model could panic again, so it
-// is skipped — its phases were already unusable).
+// is skipped — its phases were already unusable). A migrated session is
+// not finished either: its detector now lives on another node, and
+// events emitted here would charge a byte-accountant tab the hand-off
+// already released.
 func (s *Session) close() *Summary {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.state == StateActive {
+	if s.state == StateActive && !s.migrated {
 		func() {
 			defer func() {
 				if v := recover(); v != nil {

@@ -6,11 +6,13 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"opd/internal/core"
 	"opd/internal/durable"
 	"opd/internal/telemetry"
 	"opd/internal/trace"
@@ -560,5 +562,74 @@ func TestStreamDurableRecoveryIDs(t *testing.T) {
 	}
 	if got := sink.events(); !equalEvents(got, wantEvents) {
 		t.Errorf("cross-restart event log diverges:\n got %v\nwant %v", got, wantEvents)
+	}
+}
+
+// TestSymbolFramesExtendDetectorTable pins symbol negotiation against the
+// detector's own table: a frame overlapping the table is idempotent, one
+// that leaves a gap, contradicts the table, or names a branch the table
+// (or the frame) already holds is refused and changes nothing, and a
+// refused frame never reaches the WAL, so recovery rebuilds exactly the
+// accepted table.
+func TestSymbolFramesExtendDetectorTable(t *testing.T) {
+	dir := t.TempDir()
+	m := durableManager(t, dir, Options{Registry: telemetry.NewRegistry()})
+	s, err := m.Open(core.Config{CWSize: 50, SkipFactor: 1, TW: core.ConstantTW,
+		Model: core.UnweightedModel, Analyzer: core.ThresholdAnalyzer, Param: 0.6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.StreamHello(true); err != nil {
+		t.Fatal(err)
+	}
+	a, b, c, d := trace.MakeBranch(0, 1, true), trace.MakeBranch(0, 2, true), trace.MakeBranch(0, 3, true), trace.MakeBranch(0, 4, true)
+	extend := func(start uint64, syms ...trace.Branch) error {
+		return s.ExtendSymbols(0, trace.AppendSymsPayload(nil, start, syms), start, syms)
+	}
+	if err := extend(0, a, b); err != nil {
+		t.Fatal(err)
+	}
+	if err := extend(1, b, c); err != nil {
+		t.Fatalf("overlapping frame: %v", err)
+	}
+	for _, bad := range []struct {
+		name  string
+		start uint64
+		syms  []trace.Branch
+	}{
+		{"gap", 4, []trace.Branch{d}},
+		{"contradicts", 2, []trace.Branch{d}},
+		{"in table", 3, []trace.Branch{d, a}},
+		{"repeated", 3, []trace.Branch{d, d}},
+	} {
+		if err := extend(bad.start, bad.syms...); err == nil {
+			t.Errorf("%s: frame accepted", bad.name)
+		}
+	}
+	want := []trace.Branch{a, b, c}
+	if !slices.Equal(s.det.Symbols(), want) || s.SymbolCount() != len(want) {
+		t.Fatalf("table %v (count %d), want %v", s.det.Symbols(), s.SymbolCount(), want)
+	}
+	ids := []int32{0, 1, 2, 1}
+	var ct telemetry.ChunkTrace
+	if err := s.FeedIDsTraced(0, trace.AppendIDsPayload(nil, ids), ids, &ct); err != nil {
+		t.Fatal(err)
+	}
+	abandon(m)
+
+	m2 := durableManager(t, dir, Options{Registry: telemetry.NewRegistry()})
+	defer m2.Shutdown()
+	if recovered, dropped, err := m2.Recover(); err != nil || recovered != 1 || dropped != 0 {
+		t.Fatalf("recover: %d/%d, %v", recovered, dropped, err)
+	}
+	r, ok := m2.Get(s.ID())
+	if !ok {
+		t.Fatal("session not recovered")
+	}
+	if !slices.Equal(r.det.Symbols(), want) {
+		t.Fatalf("recovered table %v, want %v", r.det.Symbols(), want)
+	}
+	if consumed, _, _ := r.Progress(); consumed != int64(len(ids)) {
+		t.Fatalf("recovered session consumed %d, want %d", consumed, len(ids))
 	}
 }

@@ -7,23 +7,8 @@ import (
 	"opd/internal/trace"
 )
 
-// BenchmarkSweepMapPath runs the whole sweep on the legacy path: every
-// configuration re-interns the trace through its own map.
-func BenchmarkSweepMapPath(b *testing.B) {
-	tr := noisyTrace(50000)
-	s := PaperSpace([]int{100, 500})
-	s.AnchorResize = AllAnchorResize()
-	configs := s.Enumerate()
-	b.SetBytes(int64(len(tr)) * int64(len(configs)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		RunConfigsMap(tr, configs, 0)
-	}
-}
-
-// BenchmarkSweepInterned runs the same sweep on the shared-intern engine:
-// one hash pass, dense-ID consumption, pooled buffers.
+// BenchmarkSweepInterned runs the paper sweep on the shared-intern
+// engine: one hash pass, dense-ID consumption, pooled buffers.
 func BenchmarkSweepInterned(b *testing.B) {
 	tr := noisyTrace(50000)
 	s := PaperSpace([]int{100, 500})
@@ -38,9 +23,9 @@ func BenchmarkSweepInterned(b *testing.B) {
 }
 
 // hiCardTrace builds a trace with short stable runs drawn from a large
-// site pool — the regime of whole-program branch profiles, where a
-// per-config intern map outgrows the cache while the shared-intern
-// engine's dense counters stay compact.
+// site pool — the regime of whole-program branch profiles, where
+// interning every element per config would miss the cache while the
+// shared-intern engine's dense counters stay compact.
 func hiCardTrace(n, sites int) trace.Trace {
 	rng := int64(42)
 	next := func(m int) int {
@@ -75,22 +60,9 @@ func mapBoundConfigs(configs []core.Config) []core.Config {
 	return out
 }
 
-// BenchmarkSweepMapPathHiCard / InternedHiCard compare the two engines on
-// the map-lookup-bound family over a high-cardinality trace — the
-// workload the shared-intern engine exists for.
-func BenchmarkSweepMapPathHiCard(b *testing.B) {
-	tr := hiCardTrace(400000, 100000)
-	s := PaperSpace([]int{100, 500})
-	s.AnchorResize = AllAnchorResize()
-	configs := mapBoundConfigs(s.Enumerate())
-	b.SetBytes(int64(len(tr)) * int64(len(configs)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		RunConfigsMap(tr, configs, 0)
-	}
-}
-
+// BenchmarkSweepInternedHiCard runs the map-lookup-bound family over a
+// high-cardinality trace — the workload the shared-intern engine exists
+// for.
 func BenchmarkSweepInternedHiCard(b *testing.B) {
 	tr := hiCardTrace(400000, 100000)
 	s := PaperSpace([]int{100, 500})

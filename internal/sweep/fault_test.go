@@ -148,11 +148,6 @@ func TestInvalidConfigYieldsErrNotPanic(t *testing.T) {
 	if runs[1].Err.Error() == "" || bad.Validate() == nil {
 		t.Fatal("validation error missing")
 	}
-	// The legacy map path gets the same treatment.
-	mapRuns := RunConfigsMap(tr, []core.Config{good, bad}, 1)
-	if mapRuns[0].Err != nil || mapRuns[1].Err == nil {
-		t.Fatalf("map path: %v / %v", mapRuns[0].Err, mapRuns[1].Err)
-	}
 }
 
 // TestCancelMidSweepReturnsPartialResults cancels a sweep of slow

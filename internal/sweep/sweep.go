@@ -263,59 +263,6 @@ func runOne(ctx context.Context, in *trace.Interned, cfg core.Config,
 	return run
 }
 
-// RunConfigsMap is the legacy sweep path: every detector re-interns the
-// trace through its own map[trace.Branch]int32, paying one hash lookup
-// per element per configuration. Kept as the equivalence and benchmark
-// baseline for the shared-intern engine; new callers want RunConfigs.
-// Like the interned path, per-run failures (invalid configs, detector
-// panics) land in Run.Err instead of crashing the sweep.
-func RunConfigsMap(tr trace.Trace, configs []core.Config, workers int) []Run {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	runs := make([]Run, len(configs))
-	jobs := make(chan int, len(configs))
-	for i := range configs {
-		jobs <- i
-	}
-	close(jobs)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				runs[i] = runOneMap(tr, configs[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return runs
-}
-
-// runOneMap is runOne for the legacy map path.
-func runOneMap(tr trace.Trace, cfg core.Config) (run Run) {
-	run.Config = cfg
-	defer func() {
-		if v := recover(); v != nil {
-			run = Run{Config: cfg, Err: &PanicError{Value: v, Stack: debug.Stack()}}
-		}
-	}()
-	d, err := cfg.New()
-	if err != nil {
-		run.Err = fmt.Errorf("sweep: config %s: %w", cfg.ID(), err)
-		return run
-	}
-	start := time.Now()
-	core.RunTrace(d, tr)
-	run.Phases = d.Phases()
-	run.AdjustedPhases = d.AdjustedPhases()
-	run.SimComputations = d.SimilarityComputations()
-	run.Elements = int64(len(tr))
-	run.Elapsed = time.Since(start)
-	return run
-}
-
 // Score evaluates a run against one oracle solution. adjusted selects the
 // anchor-corrected phase boundaries (Figure 8) instead of the raw ones.
 func (r Run) Score(sol *baseline.Solution, adjusted bool) score.Result {

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"slices"
 	"testing"
 
 	"opd/internal/baseline"
@@ -124,35 +125,26 @@ func noisyTrace(n int) trace.Trace {
 	return tr
 }
 
-// TestInternedSweepMatchesMapSweep pins the shared-intern engine to the
-// legacy per-config map path over the full paper config enumeration
-// (all anchoring variants included): identical phases, adjusted phases,
-// and similarity counts for every configuration.
-func TestInternedSweepMatchesMapSweep(t *testing.T) {
+// TestInternedSweepMatchesRunTrace pins the shared-intern engine to
+// per-config core.RunTrace over the raw trace, over the full paper config
+// enumeration (all anchoring variants included): identical phases,
+// adjusted phases, and similarity counts for every configuration.
+func TestInternedSweepMatchesRunTrace(t *testing.T) {
 	tr := noisyTrace(3000)
 	s := PaperSpace([]int{20, 50})
 	s.AnchorResize = AllAnchorResize()
 	configs := s.Enumerate()
-	legacy := RunConfigsMap(tr, configs, 0)
 	interned := RunConfigs(tr, configs, 0)
-	for i := range configs {
-		a, b := legacy[i], interned[i]
-		if a.SimComputations != b.SimComputations {
-			t.Errorf("%s: %d vs %d similarity computations", configs[i].ID(), a.SimComputations, b.SimComputations)
+	for i, cfg := range configs {
+		a, b := core.RunTrace(cfg.MustNew(), tr), interned[i]
+		if a.SimilarityComputations() != b.SimComputations {
+			t.Errorf("%s: %d vs %d similarity computations", cfg.ID(), a.SimilarityComputations(), b.SimComputations)
 		}
-		if len(a.Phases) != len(b.Phases) || len(a.AdjustedPhases) != len(b.AdjustedPhases) {
-			t.Fatalf("%s: phase counts diverge (%d/%d vs %d/%d)", configs[i].ID(),
-				len(a.Phases), len(a.AdjustedPhases), len(b.Phases), len(b.AdjustedPhases))
+		if !slices.Equal(a.Phases(), b.Phases) {
+			t.Fatalf("%s: phases: RunTrace %v vs interned %v", cfg.ID(), a.Phases(), b.Phases)
 		}
-		for j := range a.Phases {
-			if a.Phases[j] != b.Phases[j] {
-				t.Fatalf("%s: phase %d: map %v vs interned %v", configs[i].ID(), j, a.Phases[j], b.Phases[j])
-			}
-		}
-		for j := range a.AdjustedPhases {
-			if a.AdjustedPhases[j] != b.AdjustedPhases[j] {
-				t.Fatalf("%s: adjusted phase %d diverges", configs[i].ID(), j)
-			}
+		if !slices.Equal(a.AdjustedPhases(), b.AdjustedPhases) {
+			t.Fatalf("%s: adjusted phases: RunTrace %v vs interned %v", cfg.ID(), a.AdjustedPhases(), b.AdjustedPhases)
 		}
 	}
 }

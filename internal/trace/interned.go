@@ -14,9 +14,9 @@ package trace
 // layer consumes the ID stream directly (core.Model.UpdateWindowsIDs) with
 // counters sized up-front from Cardinality.
 //
-// IDs are assigned in order of first appearance, exactly as the per-model
-// map path assigns them, so an ID-native run is bit-for-bit equivalent to
-// the legacy path.
+// IDs are assigned in order of first appearance, exactly as a detector
+// interning Branch input at its boundary assigns them, so a run over the
+// interned stream is bit-for-bit equivalent to one over the raw trace.
 type Interned struct {
 	ids     []int32
 	symbols []Branch
@@ -66,13 +66,7 @@ func NewInternedBuilder(sizeHint int) *InternedBuilder {
 
 // Add appends one profile element, assigning a fresh ID on first sight.
 func (b *InternedBuilder) Add(e Branch) {
-	id, ok := b.in.index[e]
-	if !ok {
-		id = int32(len(b.in.symbols))
-		b.in.index[e] = id
-		b.in.symbols = append(b.in.symbols, e)
-	}
-	b.in.ids = append(b.in.ids, id)
+	b.in.ids = append(b.in.ids, b.Intern(e))
 }
 
 // Len returns the number of elements added so far.
@@ -94,6 +88,12 @@ func (b *InternedBuilder) Intern(e Branch) int32 {
 	return id
 }
 
+// ID returns the dense ID of a profile element, if it has one.
+func (b *InternedBuilder) ID(e Branch) (int32, bool) {
+	id, ok := b.in.index[e]
+	return id, ok
+}
+
 // Cardinality returns the number of distinct elements interned so far —
 // the next ID Intern will assign.
 func (b *InternedBuilder) Cardinality() int { return len(b.in.symbols) }
@@ -108,16 +108,6 @@ func (b *InternedBuilder) Build() *Interned {
 	in := b.in
 	b.in = Interned{}
 	return &in
-}
-
-// NewInternedTable wraps a bare symbol table (IDs assigned by position)
-// as an Interned with an empty ID stream — the binding surface for a
-// symbol table negotiated elsewhere, e.g. by a streaming ingest client
-// that interns on its side of the wire and ships the table across. The
-// slice is aliased, not copied: callers that extend the table must
-// re-wrap (and re-bind) afterwards.
-func NewInternedTable(syms []Branch) *Interned {
-	return &Interned{symbols: syms}
 }
 
 // Len returns the stream length in elements.
