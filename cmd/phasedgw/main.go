@@ -15,11 +15,11 @@
 //
 //	curl -s -X POST 'localhost:8090/admin/drain?node=127.0.0.1:8081'
 //
-// Every session homed on the node is exported (snapshot + WAL tail) and
-// adopted by a ring successor with bit-identical state; clients ride
-// through on the reliability layer's resume machinery with at most a
-// reconnect. A node that dies without draining is detected by the
-// health prober (consecutive /readyz failures or data-plane errors);
+// Every session homed on the node is exported (a snapshot of its full
+// state) and adopted by a ring successor with bit-identical state;
+// clients ride through on the reliability layer's resume machinery with
+// at most a reconnect. A node that dies without draining is detected by
+// the health prober (consecutive /readyz failures or data-plane errors);
 // its sessions are re-homed lazily as their clients reconnect, whose
 // deterministic replay rebuilds the lost state exactly.
 //

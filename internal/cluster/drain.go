@@ -20,11 +20,11 @@ type DrainResult struct {
 
 // handleDrain is the admin drain endpoint: POST /admin/drain?node=H:P
 // marks the node unschedulable and live-migrates every session homed on
-// it to ring successors. Sessions keep their exact state — snapshot +
-// WAL tail travel in the migration blob — and their clients see at most
-// one reconnect (the donor answers ErrMigrated / suppresses the SSE
-// terminal marker, so the reliability layer redials through the gateway
-// and lands on the new home).
+// it to ring successors. Sessions keep their exact state — the
+// migration blob carries a snapshot of all of it — and their clients see
+// at most one reconnect (the donor answers ErrMigrated / suppresses the
+// SSE terminal marker, so the reliability layer redials through the
+// gateway and lands on the new home).
 func (g *Gateway) handleDrain(w http.ResponseWriter, r *http.Request) {
 	node := r.URL.Query().Get("node")
 	if node == "" {

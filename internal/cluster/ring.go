@@ -2,9 +2,9 @@
 // sessions on nodes with a consistent-hash ring, proxies every wire
 // path (one-shot ingest, polling, SSE, the framed stream upgrade),
 // health-probes the fleet, and re-homes sessions off draining or dead
-// nodes by shipping their migration blobs (snapshot + WAL tail) to an
-// adopting node — clients ride through on the reliability layer's
-// resume machinery with at most a reconnect.
+// nodes by shipping their migration blobs (a snapshot of the session's
+// full state) to an adopting node — clients ride through on the
+// reliability layer's resume machinery with at most a reconnect.
 package cluster
 
 import (

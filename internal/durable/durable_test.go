@@ -80,7 +80,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	}
 	recs := payloads(40)
 	for _, p := range recs {
-		if err := log.Append(p); err != nil {
+		if _, err := log.Append(p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -105,7 +105,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	}
 	more := payloads(50)[40:]
 	for _, p := range more {
-		if err := log2.Append(p); err != nil {
+		if _, err := log2.Append(p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -128,7 +128,7 @@ func TestSnapshotCompaction(t *testing.T) {
 	recs := payloads(60)
 	log.Snapshot([]byte("s0"))
 	for _, p := range recs[:50] {
-		if err := log.Append(p); err != nil {
+		if _, err := log.Append(p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,7 +136,7 @@ func TestSnapshotCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range recs[50:] {
-		if err := log.Append(p); err != nil {
+		if _, err := log.Append(p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -187,7 +187,7 @@ func TestCrashAtEveryByteOffset(t *testing.T) {
 	frameEnd := []int{} // cumulative framed size after each record
 	size := 0
 	for _, p := range recs {
-		if err := log.Append(p); err != nil {
+		if _, err := log.Append(p); err != nil {
 			t.Fatal(err)
 		}
 		size += recordHeaderSize + len(p)
@@ -230,7 +230,7 @@ func TestCrashAtEveryByteOffset(t *testing.T) {
 
 		// The repaired log must keep working: append one more record and
 		// recover again.
-		if err := r.Log().Append([]byte("after-crash")); err != nil {
+		if _, err := r.Log().Append([]byte("after-crash")); err != nil {
 			t.Fatalf("cut %d: append after recovery: %v", cut, err)
 		}
 		r.Log().Close()
@@ -391,7 +391,7 @@ func TestFsyncPolicies(t *testing.T) {
 		}
 		before := reg.Counter(telemetry.MetricDurableFsyncs).Value()
 		for _, p := range payloads(n) {
-			if err := log.Append(p); err != nil {
+			if _, err := log.Append(p); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -74,7 +74,7 @@ func FuzzWALReplay(f *testing.F) {
 		}
 
 		// The repaired log must accept further appends and round-trip.
-		if err := r.Log().Append([]byte("tail")); err != nil {
+		if _, err := r.Log().Append([]byte("tail")); err != nil {
 			t.Fatalf("append after repair: %v", err)
 		}
 		r.Log().Close()

@@ -136,26 +136,14 @@ type AppendStats struct {
 // Append writes one record to the WAL and makes it as durable as the
 // configured fsync policy promises: SyncAlways fsyncs before returning,
 // SyncInterval fsyncs when at least the configured interval has passed
-// since the last fsync, SyncNever leaves flushing to the OS.
-func (l *SessionLog) Append(payload []byte) error {
-	_, err := l.AppendTimed(payload)
-	return err
-}
-
-// AppendTimed is Append returning the write/fsync latency split, for
-// callers attributing per-chunk stage time (the serve layer's stage
-// timers).
-func (l *SessionLog) AppendTimed(payload []byte) (AppendStats, error) {
-	return l.AppendTimedMulti(payload)
-}
-
-// AppendTimedMulti appends one record whose payload is the
-// concatenation of parts, without requiring the caller to concatenate
-// them first — the streaming ingest path hands the record-type prefix
-// and the wire payload as separate parts and pays no intermediate
-// copy or allocation (the record assembles in the log's reused frame
-// buffer; the checksum runs incrementally across the parts).
-func (l *SessionLog) AppendTimedMulti(parts ...[]byte) (AppendStats, error) {
+// since the last fsync, SyncNever leaves flushing to the OS. The record's
+// payload is the concatenation of parts: the streaming ingest path hands
+// the record-type prefix and the wire payload as separate parts and pays
+// no intermediate copy or allocation (the record assembles in the log's
+// reused frame buffer; the checksum runs incrementally across the
+// parts). The returned stats split the latency into write and fsync, for
+// the serve layer's stage timers.
+func (l *SessionLog) Append(parts ...[]byte) (AppendStats, error) {
 	var stats AppendStats
 	t0 := time.Now()
 	l.mu.Lock()
@@ -270,83 +258,6 @@ func (l *SessionLog) compact(idx uint64) {
 			os.Remove(filepath.Join(l.dir, e.Name()))
 		}
 	}
-}
-
-// ExportState reads the log's durable state for live migration: the
-// newest intact snapshot payload plus every WAL record appended after
-// it, in order. The read is purely observational — nothing is deleted,
-// truncated, or repaired — and runs under the log mutex, so it is safe
-// against a concurrent Append (the serve layer additionally holds its
-// session mutex across both, making the pair atomic).
-//
-// The export must equal the caller's in-memory state, so it fails
-// rather than silently shipping a shorter prefix: a torn tail, a broken
-// segment chain, or a walk that ends short of the next append index all
-// return an error (the caller falls back to encoding a fresh snapshot).
-func (l *SessionLog) ExportState() (snapshot []byte, records [][]byte, err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil, nil, fmt.Errorf("durable: export from closed log %s", l.dir)
-	}
-	entries, err := os.ReadDir(l.dir)
-	if err != nil {
-		return nil, nil, fmt.Errorf("durable: export scan: %w", err)
-	}
-	var snapIdx uint64
-	idxs := sortedIdx(entries, "snap-", ".snap")
-	for i := len(idxs) - 1; i >= 0 && snapshot == nil; i-- {
-		buf, rerr := os.ReadFile(filepath.Join(l.dir, snapName(idxs[i])))
-		if rerr != nil {
-			continue
-		}
-		if payload, _, perr := parseRecord(buf); perr == nil {
-			snapshot = append([]byte(nil), payload...)
-			snapIdx = idxs[i]
-		}
-	}
-	if snapshot == nil {
-		return nil, nil, fmt.Errorf("durable: export: no intact snapshot in %s", l.dir)
-	}
-
-	// Walk the segment chain from the last segment the snapshot covers,
-	// collecting payloads at indices >= snapIdx, exactly like recovery —
-	// but read-only, and with completeness enforced.
-	segs := sortedIdx(entries, "wal-", ".seg")
-	start := 0
-	for start < len(segs) && segs[start] <= snapIdx {
-		start++
-	}
-	start--
-	reached := snapIdx
-	if start >= 0 {
-		reached = segs[start]
-		for i := start; i < len(segs); i++ {
-			if segs[i] != reached {
-				return nil, nil, fmt.Errorf("durable: export: segment chain gap at %s", segName(segs[i]))
-			}
-			buf, rerr := os.ReadFile(filepath.Join(l.dir, segName(segs[i])))
-			if rerr != nil {
-				return nil, nil, fmt.Errorf("durable: export: %w", rerr)
-			}
-			off := 0
-			for off < len(buf) {
-				payload, n, perr := parseRecord(buf[off:])
-				if perr != nil {
-					return nil, nil, fmt.Errorf("durable: export: torn record %d in %s", reached, segName(segs[i]))
-				}
-				if reached >= snapIdx {
-					records = append(records, append([]byte(nil), payload...))
-				}
-				off += n
-				reached++
-			}
-		}
-	}
-	if reached != l.nextIdx {
-		return nil, nil, fmt.Errorf("durable: export: durable prefix ends at record %d, memory at %d", reached, l.nextIdx)
-	}
-	return snapshot, records, nil
 }
 
 // Close fsyncs and closes the open segment. The log must not be used

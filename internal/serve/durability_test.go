@@ -218,6 +218,50 @@ func TestRecoverDropsSnapshotlessSession(t *testing.T) {
 	}
 }
 
+// TestRecoveredSessionsCountActive pins the session gauge across boot
+// recovery: recovered sessions count as opened, so the active gauge
+// matches Len() after Recover and returns to zero, not below it, once
+// they are closed.
+func TestRecoveredSessionsCountActive(t *testing.T) {
+	const n = 3
+	dir := t.TempDir()
+	m1 := durableManager(t, dir, Options{})
+	var ids []string
+	for i := 0; i < n; i++ {
+		s, err := m1.Open(testConfigs()[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Feed(phasedTrace(1000)); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, s.ID())
+	}
+	abandon(m1)
+
+	reg := telemetry.NewRegistry()
+	m2 := durableManager(t, dir, Options{Registry: reg})
+	defer m2.Shutdown()
+	if recovered, dropped, err := m2.Recover(); err != nil || recovered != n || dropped != 0 {
+		t.Fatalf("recover = %d/%d, %v; want %d recovered", recovered, dropped, err, n)
+	}
+	active := reg.Gauge(telemetry.MetricServeSessionsActive)
+	if got := active.Value(); got != n || m2.Len() != n {
+		t.Fatalf("after recovery: active gauge %v, Len() %d, want both %d", got, m2.Len(), n)
+	}
+	for _, id := range ids {
+		if _, ok := m2.Close(id); !ok {
+			t.Fatalf("recovered session %s not live", id)
+		}
+	}
+	opened := reg.Counter(telemetry.MetricServeSessionsOpened).Value()
+	closed := reg.Counter(telemetry.MetricServeSessionsClosed).Value()
+	if got := active.Value(); got != 0 || m2.Len() != 0 || float64(opened-closed) != got {
+		t.Fatalf("after close: active gauge %v, Len() %d, opened %d - closed %d; want 0 and opened - closed == active",
+			got, m2.Len(), opened, closed)
+	}
+}
+
 // TestReadyzGate pins the probe split: a durable server answers liveness
 // immediately but 503s /readyz and the whole /v1 API until Recover has
 // replayed the data dir.

@@ -6,6 +6,8 @@ import (
 	"io"
 	"math"
 	"net"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -84,5 +86,59 @@ func FuzzStreamHandshake(f *testing.F) {
 		client.Close()
 		<-done
 		_, _ = srv.manager.Close(sess.ID())
+	})
+}
+
+// FuzzAdopt drives adoption, the one decoder of untrusted cross-node
+// input: the migration blob, the session snapshot inside it, and the WAL
+// records replayed on top. Adopt must never panic, a refused blob must
+// leave the session count and the byte accountant where they were, and
+// closing an adopted session must return both to their earlier values.
+func FuzzAdopt(f *testing.F) {
+	for _, name := range []string{"parent-branch.migr", "parent-ids.migr"} {
+		blob, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	// One manager for every exec, with the janitor and watchdog out of
+	// the way so nothing but Adopt and Close moves the counts.
+	m := NewManager(Options{
+		IdleTimeout:      -1,
+		MaxAge:           -1,
+		SweepInterval:    time.Hour,
+		WatchdogDeadline: -1,
+	})
+	defer m.Shutdown()
+	cfg, err := ConfigRequest{CW: 64}.Config()
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed, err := m.Open(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := seed.Feed(phasedTrace(2000)); err != nil {
+		f.Fatal(err)
+	}
+	exported, err := m.Export(seed.ID(), true)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(exported)
+
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		n, used := m.Len(), m.MemUsed()
+		s, err := m.Adopt("fuzz", blob)
+		if err == nil {
+			if _, ok := m.Close(s.ID()); !ok {
+				t.Fatal("adopted session not live")
+			}
+		}
+		if m.Len() != n || m.MemUsed() != used {
+			t.Fatalf("adopt (err %v) then close moved the counts: sessions %d -> %d, accounted bytes %d -> %d",
+				err, n, m.Len(), used, m.MemUsed())
+		}
 	})
 }

@@ -335,53 +335,69 @@ func (m *Manager) openAs(id string, cfg core.Config) (*Session, error) {
 	}
 	s := newSession(id, cfg, det, m.opts.MaxEventsRetained, m.opts.FlightChunks, m.probe, m.res, m.opts.Logger)
 	s.chargeMem(sessionBaseCost(cfg))
-	if m.opts.Store != nil {
-		if err := m.attachDurable(s); err != nil {
-			s.releaseMemAll()
-			m.active.Add(-1)
-			if errors.Is(err, fs.ErrExist) {
-				return nil, ErrAdoptExists
-			}
-			return nil, fmt.Errorf("%w: %w", ErrPersist, err)
-		}
+	if err := m.attachDurable(s); err != nil {
+		return nil, err
 	}
-	sh := m.shardFor(s.id)
-	sh.mu.Lock()
-	if _, dup := sh.sessions[s.id]; dup {
-		sh.mu.Unlock()
-		if s.log != nil {
-			_ = s.log.Close()
-			_ = m.opts.Store.Remove(s.id)
-		}
-		s.releaseMemAll()
-		m.active.Add(-1)
-		return nil, ErrAdoptExists
+	if err := m.link(s); err != nil {
+		return nil, err
 	}
-	sh.sessions[s.id] = s
-	sh.mu.Unlock()
-	m.probe.SessionOpened()
 	m.opts.Logger.Info("session opened", "session", s.id, "config", s.configID, "durable", m.opts.Store != nil)
 	return s, nil
 }
 
 // attachDurable gives a new session its log and writes the initial
-// snapshot. The initial snapshot is what makes the session recoverable
-// at all — the WAL holds only elements, so the configuration must land
-// on disk before the first chunk is acknowledged.
+// snapshot; without a store it does nothing. The initial snapshot is what
+// makes the session recoverable at all — the WAL holds only elements, so
+// the configuration must land on disk before the first chunk is
+// acknowledged. On failure the session is discarded.
 func (m *Manager) attachDurable(s *Session) error {
-	log, err := m.opts.Store.Create(s.id)
-	if err != nil {
-		return err
+	if m.opts.Store == nil {
+		return nil
 	}
-	s.log = log
-	s.snapEvery = m.opts.SnapshotEvery
-	if err := s.snapshotLocked(); err != nil {
-		log.Close()
-		_ = m.opts.Store.Remove(s.id)
-		s.log = nil
-		return err
+	log, err := m.opts.Store.Create(s.id)
+	if err == nil {
+		s.log = log
+		s.snapEvery = m.opts.SnapshotEvery
+		err = s.snapshotLocked()
+	}
+	if err != nil {
+		m.discard(s)
+		if errors.Is(err, fs.ErrExist) {
+			return ErrAdoptExists
+		}
+		return fmt.Errorf("%w: %w", ErrPersist, err)
 	}
 	return nil
+}
+
+// link adds a built session to its shard and counts it opened. The
+// caller already holds the session's admission slot. A live session with
+// the same ID is never overwritten: the newcomer is discarded and
+// ErrAdoptExists returned.
+func (m *Manager) link(s *Session) error {
+	sh := m.shardFor(s.id)
+	sh.mu.Lock()
+	if _, dup := sh.sessions[s.id]; dup {
+		sh.mu.Unlock()
+		m.discard(s)
+		return ErrAdoptExists
+	}
+	sh.sessions[s.id] = s
+	sh.mu.Unlock()
+	m.probe.SessionOpened()
+	return nil
+}
+
+// discard tears down a session that was built but never linked: its log
+// is closed and its directory removed, and its memory charge and
+// admission slot are released.
+func (m *Manager) discard(s *Session) {
+	if s.log != nil {
+		_ = s.log.Close()
+		_ = m.opts.Store.Remove(s.id)
+	}
+	s.releaseMemAll()
+	m.active.Add(-1)
 }
 
 // removeDurable deletes a terminal session's on-disk state.
@@ -631,14 +647,11 @@ func (m *Manager) Shutdown() {
 	}
 }
 
-// Recover rebuilds live sessions from the store's surviving state: for
-// each recoverable session the snapshot restores the detector and event
-// log, and the post-snapshot WAL records replay through the ordinary
-// detector path — phase events regenerate with their original sequence
-// numbers, and a chunk that deterministically panics re-poisons exactly
-// its own session. Sessions with no usable snapshot (crashed before
-// their first snapshot landed) or an undecodable one are dropped and
-// their directories removed.
+// Recover rebuilds live sessions from the store's surviving state, each
+// through restore with the log durable.Recover left positioned after its
+// records. Sessions with no usable snapshot (crashed before their first
+// snapshot landed) or an undecodable one are dropped and their
+// directories removed.
 //
 // Call once at boot, before admitting traffic.
 func (m *Manager) Recover() (recovered, dropped int, err error) {
@@ -651,7 +664,7 @@ func (m *Manager) Recover() (recovered, dropped int, err error) {
 		return 0, 0, err
 	}
 	for _, rec := range recs {
-		s, rerr := m.recoverSession(rec)
+		s, rerr := m.restore(rec.ID, rec.Snapshot, rec.Records, rec.Log())
 		if rerr != nil {
 			if rec.Log() != nil {
 				rec.Log().Close()
@@ -664,21 +677,44 @@ func (m *Manager) Recover() (recovered, dropped int, err error) {
 		}
 		m.opts.Logger.Info("session recovered", "session", s.id, "config", s.configID,
 			"replayed_chunks", len(rec.Records), "state", string(s.State()))
-		sh := m.shardFor(s.id)
-		sh.mu.Lock()
-		sh.sessions[s.id] = s
-		sh.mu.Unlock()
-		m.active.Add(1)
 		m.dprobe.SessionRecovered()
 		recovered++
 	}
 	return recovered, dropped, nil
 }
 
-// restoredSession wraps a decoded snapshot in a session, charging its
-// base cost and event log: the restored detector, the event log with its
-// base, and the streaming-protocol state. WAL replay comes after.
-func (m *Manager) restoredSession(id string, rs restoredSnapshot) *Session {
+// restore rebuilds a session from an OPDSESS1 snapshot and the WAL
+// records written after it, and links it into the manager: the snapshot
+// restores the detector, event log and streaming-protocol state, and the
+// records replay through the ordinary detector path, so phase events
+// regenerate with their original sequence numbers. It serves boot
+// recovery and adoption alike; log selects the policy.
+//
+// At boot, log is the session's recovered log, positioned after the
+// records. restore reuses it and skips the admission caps, since the
+// session was admitted before the crash. Replay keeps the records' clean
+// prefix, and a record that re-poisons the session leaves it failed but
+// inspectable. An active session then takes one compaction snapshot, so
+// the next crash does not replay the same tail again.
+//
+// On adoption, log is nil. restore admits the session and fails on the
+// first bad record: the donor or the gateway still holds the blob, so
+// refusing it is safe and a half-replayed adoptee is not. A durable node
+// persists the adoptee under a new log.
+func (m *Manager) restore(id string, snapshot []byte, records [][]byte, log *durable.SessionLog) (*Session, error) {
+	if snapshot == nil {
+		return nil, errors.New("serve: no usable snapshot")
+	}
+	rs, err := decodeSessionSnapshot(snapshot)
+	if err != nil {
+		return nil, err
+	}
+	boot := log != nil
+	if boot {
+		m.active.Add(1)
+	} else if err := m.admit(rs.cfg); err != nil {
+		return nil, err
+	}
 	s := newSession(id, rs.cfg, rs.det, m.opts.MaxEventsRetained, m.opts.FlightChunks, m.probe, m.res, m.opts.Logger)
 	s.chargeMem(sessionBaseCost(rs.cfg) + int64(len(rs.events))*eventLogBytes)
 	s.events = append(s.events, rs.events...)
@@ -689,31 +725,25 @@ func (m *Manager) restoredSession(id string, rs restoredSnapshot) *Session {
 	s.base = rs.base
 	s.mode = rs.mode
 	s.applied = rs.applied
-	return s
-}
-
-// recoverSession rebuilds one session from its snapshot + WAL tail.
-func (m *Manager) recoverSession(rec *durable.Recovered) (*Session, error) {
-	if rec.Snapshot == nil {
-		return nil, errors.New("serve: no usable snapshot")
+	// Only adoption's replay can fail: boot keeps the clean prefix.
+	if err := s.replayWAL(records, boot); err != nil {
+		m.discard(s)
+		return nil, fmt.Errorf("serve: adopt %s: %w", id, err)
 	}
-	rs, err := decodeSessionSnapshot(rec.Snapshot)
-	if err != nil {
+	if boot {
+		s.log = log
+		s.snapEvery = m.opts.SnapshotEvery
+		if s.state == StateActive {
+			// Failure is fine: the WAL still covers the replayed records.
+			s.mu.Lock()
+			_ = s.snapshotLocked()
+			s.mu.Unlock()
+		}
+	} else if err := m.attachDurable(s); err != nil {
 		return nil, err
 	}
-	s := m.restoredSession(rec.ID, rs)
-	s.log = rec.Log()
-	s.snapEvery = m.opts.SnapshotEvery
-	// The durable prefix ends at the first record that does not decode;
-	// a record that re-poisons the session, exactly as it did before the
-	// crash, leaves the failed session inspectable.
-	_ = s.replayWAL(rec.Records, true)
-	if s.state == StateActive {
-		// Compact: the next crash recovers from here instead of replaying
-		// the whole tail again. Failure is fine — the WAL still covers it.
-		s.mu.Lock()
-		_ = s.snapshotLocked()
-		s.mu.Unlock()
+	if err := m.link(s); err != nil {
+		return nil, err
 	}
 	return s, nil
 }

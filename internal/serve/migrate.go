@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"strings"
 
 	"opd/internal/core"
@@ -32,9 +31,11 @@ var (
 //	uvarint WAL record count, then per record:
 //	  uvarint payload length, then that many bytes
 //
-// The snapshot plus replayed records reproduce the source session's
-// exact state (the same invariant crash recovery relies on), so the
-// adopting node's detector is bit-identical to the donor's.
+// Exports carry an empty record list: the snapshot is the session's
+// complete current state. Blobs written by older nodes carry the WAL
+// records after an on-disk snapshot, and adoption still replays them.
+// Either way the adopting node's detector is bit-identical to the
+// donor's.
 const (
 	migrMagic   = "OPDMIGR1"
 	migrVersion = 1
@@ -53,23 +54,15 @@ func ValidSessionID(id string) bool {
 	return id != "" && len(id) <= 128 && !strings.ContainsAny(id, "/\\.")
 }
 
-// encodeMigration assembles a migration blob.
-func encodeMigration(snapshot []byte, records [][]byte) []byte {
-	size := len(migrMagic) + 1 + binary.MaxVarintLen64*2 + len(snapshot)
-	for _, r := range records {
-		size += binary.MaxVarintLen64 + len(r)
-	}
-	buf := make([]byte, 0, size)
+// encodeMigration assembles a migration blob from a session snapshot,
+// with no WAL records.
+func encodeMigration(snapshot []byte) []byte {
+	buf := make([]byte, 0, len(migrMagic)+1+binary.MaxVarintLen64+len(snapshot)+1)
 	buf = append(buf, migrMagic...)
 	buf = append(buf, migrVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(snapshot)))
 	buf = append(buf, snapshot...)
-	buf = binary.AppendUvarint(buf, uint64(len(records)))
-	for _, r := range records {
-		buf = binary.AppendUvarint(buf, uint64(len(r)))
-		buf = append(buf, r...)
-	}
-	return buf
+	return binary.AppendUvarint(buf, 0)
 }
 
 // decodeMigration parses a migration blob defensively (it crosses the
@@ -125,14 +118,9 @@ func (s *Session) Migrated() bool {
 	return s.migrated
 }
 
-// exportMigrate builds the session's migration blob under the session
-// mutex, so no chunk can land between the export and (with remove) the
-// hand-off mark. Durable sessions with a clean breaker export their
-// on-disk snapshot + WAL tail — bit-identical to memory, because every
-// applied chunk was WAL-appended first under this same mutex. Everything
-// else (in-memory sessions, degraded spells, a disk the export walk
-// cannot trust) falls back to encoding a fresh snapshot with an empty
-// tail, which is the complete current state by construction.
+// exportMigrate builds the session's migration blob — a fresh snapshot
+// of its complete state — under the session mutex, so no chunk can land
+// between the export and (with remove) the hand-off mark.
 //
 // With remove set the session is marked migrated before the mutex drops:
 // queued feeds and stream frames fail with ErrMigrated (retryable — the
@@ -146,18 +134,9 @@ func (s *Session) exportMigrate(remove bool) ([]byte, error) {
 	if err := s.usableLocked(); err != nil {
 		return nil, err
 	}
-	var blob []byte
-	if s.log != nil && !s.brk.open {
-		if snap, recs, err := s.log.ExportState(); err == nil {
-			blob = encodeMigration(snap, recs)
-		}
-	}
-	if blob == nil {
-		snap, err := s.encodeSnapshotLocked()
-		if err != nil {
-			return nil, err
-		}
-		blob = encodeMigration(snap, nil)
+	snap, err := s.encodeSnapshotLocked()
+	if err != nil {
+		return nil, err
 	}
 	if remove {
 		s.migrated = true
@@ -167,7 +146,7 @@ func (s *Session) exportMigrate(remove bool) ([]byte, error) {
 		}
 		s.wakeLocked()
 	}
-	return blob, nil
+	return encodeMigration(snap), nil
 }
 
 // Export builds the migration blob for a live session. With remove set
@@ -193,13 +172,11 @@ func (m *Manager) Export(id string, remove bool) ([]byte, error) {
 	return blob, nil
 }
 
-// Adopt rebuilds a migrated session from its blob and admits it as a
-// live session under the given ID: the snapshot restores the detector
-// and event log, the WAL tail replays through the ordinary detector
-// path (phase events regenerate with their original sequence numbers),
-// and — when this node is durable — the state is re-persisted with a
-// fresh compact snapshot, so the adoptee is as crash-safe here as it
-// was at home.
+// Adopt rebuilds a migrated session from its blob through restore and
+// links it as a live session under the given ID. The blob's snapshot
+// restores the detector and event log, and any WAL records it carries
+// replay on top. On a durable node the adoptee is re-persisted with a
+// fresh compact snapshot, so it is as crash-safe here as it was at home.
 func (m *Manager) Adopt(id string, blob []byte) (*Session, error) {
 	if m.drain.Load() {
 		return nil, ErrDraining
@@ -210,56 +187,14 @@ func (m *Manager) Adopt(id string, blob []byte) (*Session, error) {
 	if _, ok := m.Get(id); ok {
 		return nil, ErrAdoptExists
 	}
-	snapBytes, records, err := decodeMigration(blob)
+	snapshot, records, err := decodeMigration(blob)
 	if err != nil {
 		return nil, err
 	}
-	rs, err := decodeSessionSnapshot(snapBytes)
+	s, err := m.restore(id, snapshot, records, nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := m.admit(rs.cfg); err != nil {
-		return nil, err
-	}
-	// Admission slot held from here; every failure path must release it.
-	release := func(s *Session) {
-		if s != nil {
-			s.releaseMemAll()
-		}
-		m.active.Add(-1)
-	}
-	s := m.restoredSession(id, rs)
-	// Unlike boot recovery, which keeps a poisoned session inspectable,
-	// adoption fails outright on the first bad record: the donor's copy
-	// still exists (or the gateway holds the blob), so refusing a bad
-	// import is safe and a half-replayed adoptee is not.
-	if err := s.replayWAL(records, false); err != nil {
-		release(s)
-		return nil, fmt.Errorf("serve: adopt %s: %w", id, err)
-	}
-	if m.opts.Store != nil {
-		if err := m.attachDurable(s); err != nil {
-			release(s)
-			if errors.Is(err, fs.ErrExist) {
-				return nil, ErrAdoptExists
-			}
-			return nil, fmt.Errorf("%w: %w", ErrPersist, err)
-		}
-	}
-	sh := m.shardFor(id)
-	sh.mu.Lock()
-	if _, dup := sh.sessions[id]; dup {
-		sh.mu.Unlock()
-		if s.log != nil {
-			_ = s.log.Close()
-			_ = m.opts.Store.Remove(id)
-		}
-		release(s)
-		return nil, ErrAdoptExists
-	}
-	sh.sessions[id] = s
-	sh.mu.Unlock()
-	m.probe.SessionOpened()
 	m.opts.Logger.Info("session adopted", "session", id, "config", s.configID,
 		"replayed_chunks", len(records), "applied", s.applied, "durable", m.opts.Store != nil)
 	return s, nil

@@ -125,10 +125,10 @@ func TestMigrateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMigrateRoundTripDurable pins the durable migration path: the blob
-// is built from the on-disk snapshot plus the WAL tail (not a fresh
-// in-memory snapshot), the adoptee re-persists it, and a crash on the
-// adoptee right after adoption recovers the migrated state exactly.
+// TestMigrateRoundTripDurable pins the durable migration path: a donor
+// with a WAL tail past its last on-disk snapshot exports a snapshot of
+// its live state, the adoptee re-persists it, and a crash on the adoptee
+// right after adoption recovers the migrated state exactly.
 func TestMigrateRoundTripDurable(t *testing.T) {
 	tr := phasedTrace(20000)
 	cfg := core.Config{CWSize: 400, TWSize: 600, SkipFactor: 32, TW: core.AdaptiveTW,

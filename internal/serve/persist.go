@@ -219,7 +219,7 @@ func (s *Session) replayRecord(payload []byte) error {
 		}
 		return s.replayIDs(ids)
 	default:
-		elems, err := decodeChunk(payload)
+		elems, err := trace.ReadBranches(bytes.NewReader(payload))
 		if err != nil {
 			return err
 		}
@@ -230,11 +230,6 @@ func (s *Session) replayRecord(payload []byte) error {
 // encodeChunk serializes one decoded chunk as a WAL record payload: the
 // standard self-contained OPDBRNC1 stream, so replay uses the same
 // strict reader as everything else.
-func encodeChunk(elems []trace.Branch) ([]byte, error) {
-	return trace.AppendBranches(make([]byte, 0, len(elems)*2+16), elems), nil
-}
-
-// decodeChunk parses a WAL record payload back into elements.
-func decodeChunk(payload []byte) ([]trace.Branch, error) {
-	return trace.ReadBranches(bytes.NewReader(payload))
+func encodeChunk(elems []trace.Branch) []byte {
+	return trace.AppendBranches(make([]byte, 0, len(elems)*2+16), elems)
 }

@@ -449,8 +449,9 @@ func (s *Server) openErrStatus(w http.ResponseWriter, err error) {
 //     the caller-chosen ID (the gateway mints IDs so the consistent-hash
 //     placement is decided before any node is contacted).
 //   - anything else: an OPDMIGR1 migration blob from a donor node's
-//     /export — restore the snapshot, replay the WAL tail, and serve the
-//     session here with state bit-identical to the donor's.
+//     /export — restore the snapshot, replay any WAL records the blob
+//     carries, and serve the session here with state bit-identical to
+//     the donor's.
 func (s *Server) handleAdopt(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if strings.Contains(r.Header.Get("Content-Type"), "application/json") {
@@ -503,8 +504,9 @@ func (s *Server) handleAdopt(w http.ResponseWriter, r *http.Request) {
 }
 
 // maxMigrationBytes caps the adoption body: a migration blob is one
-// session's snapshot plus its WAL tail since the last snapshot, both
-// bounded by the per-session memory accounting, so 256 MiB is generous.
+// session's snapshot (plus, from older nodes, the WAL records since its
+// last on-disk snapshot), bounded by the per-session memory accounting,
+// so 256 MiB is generous.
 const maxMigrationBytes = 256 << 20
 
 // handleExport serves the session's migration blob. With ?remove=1 the

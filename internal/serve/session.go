@@ -369,13 +369,7 @@ func (s *Session) Feed(elems []trace.Branch) error {
 // rejected by the WAL, or panicking — leaves exactly one trace.
 func (s *Session) FeedTraced(elems []trace.Branch, ct *telemetry.ChunkTrace) error {
 	return s.feedTraced(modeBranch, 0, int64(len(elems)), ct,
-		func() (durable.AppendStats, error) {
-			payload, err := encodeChunk(elems)
-			if err != nil {
-				return durable.AppendStats{}, err
-			}
-			return s.log.AppendTimed(payload)
-		},
+		func() (durable.AppendStats, error) { return s.log.Append(encodeChunk(elems)) },
 		func() { s.det.ProcessBatch(elems) })
 }
 
@@ -388,7 +382,7 @@ func (s *Session) FeedTraced(elems []trace.Branch, ct *telemetry.ChunkTrace) err
 // one-shot HTTP path, which has no resume cursor to fence).
 func (s *Session) FeedWireTraced(gen uint64, payload []byte, elems []trace.Branch, ct *telemetry.ChunkTrace) error {
 	return s.feedTraced(modeBranch, gen, int64(len(elems)), ct,
-		func() (durable.AppendStats, error) { return s.log.AppendTimedMulti(payload) },
+		func() (durable.AppendStats, error) { return s.log.Append(payload) },
 		func() { s.det.ProcessBatch(elems) })
 }
 
@@ -398,9 +392,7 @@ func (s *Session) FeedWireTraced(gen uint64, payload []byte, elems []trace.Branc
 // ID already validated against the negotiated symbol table.
 func (s *Session) FeedIDsTraced(gen uint64, payload []byte, ids []int32, ct *telemetry.ChunkTrace) error {
 	return s.feedTraced(modeIDs, gen, int64(len(ids)), ct,
-		func() (durable.AppendStats, error) {
-			return s.log.AppendTimedMulti(walPrefixIDs, payload)
-		},
+		func() (durable.AppendStats, error) { return s.log.Append(walPrefixIDs, payload) },
 		func() { s.det.ProcessBatchIDs(ids) })
 }
 
@@ -601,7 +593,7 @@ func (s *Session) ExtendSymbols(gen uint64, payload []byte, start uint64, syms [
 	}
 	if s.log != nil {
 		if _, err := s.walAppendLocked(func() (durable.AppendStats, error) {
-			return s.log.AppendTimedMulti(walPrefixSyms, payload)
+			return s.log.Append(walPrefixSyms, payload)
 		}); err != nil {
 			return fmt.Errorf("%w: %w", ErrPersist, err)
 		}
