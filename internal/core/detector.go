@@ -20,6 +20,8 @@ type Detector struct {
 	model    Model
 	sm       *SetModel // model devirtualized: non-nil when model is the built-in SetModel
 	analyzer Analyzer
+	thr      *Threshold // analyzer devirtualized for the fused group loop
+	avg      *Average
 	skip     int
 
 	// The symbol table every element is interned into: table is the
@@ -64,6 +66,8 @@ func NewDetector(model Model, analyzer Analyzer, skip int) *Detector {
 	// through a concrete pointer: one interface dispatch per element is
 	// measurable at sweep scale.
 	d.sm, _ = model.(*SetModel)
+	d.thr, _ = analyzer.(*Threshold)
+	d.avg, _ = analyzer.(*Average)
 	return d
 }
 
@@ -112,6 +116,85 @@ func (d *Detector) ProcessProfileIDs(ids []int32) State {
 		d.model.UpdateWindowsIDs(ids)
 	}
 	return d.afterUpdate(groupStart, int64(len(ids)))
+}
+
+// processGroups consumes whole skip-factor groups: len(ids) must be a
+// multiple of the skip factor. For the built-in SetModel with a
+// Threshold or Average analyzer and no probe it runs the fused group
+// loop, which decides steady groups inline — a group whose similarity
+// keeps the detector's state, or whose windows are still filling while
+// the detector is in T — and hands the rest (state flips, and in-phase
+// groups whose windows are not ready) to afterUpdate. Every other
+// detector takes ProcessProfileIDs group by group. Both give identical
+// state, output and snapshots.
+func (d *Detector) processGroups(ids []int32) {
+	if d.finished {
+		panic("core: input after Finish")
+	}
+	skip := d.skip
+	if !d.fusable() {
+		for i := 0; i < len(ids); i += skip {
+			d.ProcessProfileIDs(ids[i : i+skip])
+		}
+		return
+	}
+	for len(ids) > 0 {
+		k, undecided := d.sm.win.feed(ids, skip, d)
+		d.n += int64(k)
+		if !undecided {
+			return
+		}
+		// A state flip, or in phase with the windows not ready: the
+		// general path.
+		d.sm.last = ids[k-skip : k]
+		d.afterUpdate(d.n-int64(skip), int64(skip))
+		ids = ids[k:]
+	}
+}
+
+// fusable reports whether processGroups runs the fused group loop: the
+// built-in SetModel, a Threshold or Average analyzer, no probe.
+func (d *Detector) fusable() bool {
+	return d.sm != nil && d.probe == nil && (d.thr != nil || d.avg != nil)
+}
+
+// decideSteady is the fused group loop's inline decision, which the
+// window arithmetic calls after each group. It settles a steady group —
+// one whose similarity keeps the detector's state, or whose windows are
+// still filling while the detector is in T — exactly as afterUpdate
+// would, and reports false for any other group, leaving the detector
+// untouched.
+func (d *Detector) decideSteady(w *windows) bool {
+	inPhase := d.state.IsPhase()
+	if !w.filled {
+		if inPhase {
+			return false
+		}
+		d.haveSim = false
+		return true
+	}
+	var sim float64
+	if d.sm.kind == WeightedModel {
+		sim = w.weightedSimilarity()
+	} else {
+		sim = w.unweightedSimilarity()
+	}
+	// The analyzer's ProcessValue, inline: both accept at their boundary.
+	var bound float64
+	if d.thr != nil {
+		bound = d.thr.Boundary()
+	} else {
+		bound = d.avg.Boundary()
+	}
+	if (sim >= bound) != inPhase {
+		return false
+	}
+	d.simCount++
+	d.lastSim, d.haveSim = sim, true
+	if inPhase && d.avg != nil {
+		d.avg.UpdateStats(sim)
+	}
+	return true
 }
 
 // afterUpdate runs the shared post-window-update half of a group:
@@ -297,11 +380,8 @@ func (d *Detector) ProcessBatchIDs(ids []int32) State {
 		}
 	}
 	// Whole groups straight from the chunk.
-	skip := d.skip
-	n := (len(ids) / skip) * skip
-	for i := 0; i < n; i += skip {
-		d.ProcessProfileIDs(ids[i : i+skip])
-	}
+	n := (len(ids) / d.skip) * d.skip
+	d.processGroups(ids[:n])
 	// Buffer the remainder for the next chunk.
 	if n < len(ids) {
 		d.pending = append(d.pending, ids[n:]...)
@@ -485,21 +565,18 @@ func RunTrace(d *Detector, tr trace.Trace) *Detector {
 func RunTraceInterned(d *Detector, in *trace.Interned) *Detector {
 	d.Bind(in)
 	ids := in.IDs()
-	skip := d.skip
-	for i := 0; i < len(ids); i += skip {
-		end := i + skip
-		if end > len(ids) {
-			end = len(ids)
-		}
-		d.ProcessProfileIDs(ids[i:end])
-	}
+	n := (len(ids) / d.skip) * d.skip
+	d.processGroups(ids[:n])
+	d.ProcessProfileIDs(ids[n:])
 	d.Finish()
 	return d
 }
 
 // RunTraceInternedContext is RunTraceInterned with cooperative
-// cancellation: the context is polled once per skip-factor group, and a
-// cancel or deadline stops the pass promptly between groups. On
+// cancellation: the context is polled before every group, or on the
+// fused group loop before every span of whole groups (at most cancelSpan
+// elements, and at least one group), and a cancel or deadline stops the
+// pass promptly between groups. On
 // cancellation it returns the context's error with the detector NOT
 // finished — the caller chooses whether to Finish (flushing the partial
 // group and closing any open phase, making the partial Phases readable) or
@@ -513,22 +590,34 @@ func RunTraceInternedContext(ctx context.Context, d *Detector, in *trace.Interne
 	}
 	d.Bind(in)
 	ids := in.IDs()
-	skip := d.skip
-	for i := 0; i < len(ids); i += skip {
+	n := (len(ids) / d.skip) * d.skip
+	span := d.skip
+	if d.fusable() {
+		span = max(cancelSpan/d.skip, 1) * d.skip
+	}
+	for i := 0; i < n; i += span {
 		select {
 		case <-done:
 			return ctx.Err()
 		default:
 		}
-		end := i + skip
-		if end > len(ids) {
-			end = len(ids)
+		d.processGroups(ids[i:min(i+span, n)])
+	}
+	if n < len(ids) {
+		select {
+		case <-done:
+			return ctx.Err()
+		default:
 		}
-		d.ProcessProfileIDs(ids[i:end])
+		d.ProcessProfileIDs(ids[n:])
 	}
 	d.Finish()
 	return nil
 }
+
+// cancelSpan bounds the elements RunTraceInternedContext consumes
+// between cancellation polls: a few microseconds of detector work.
+const cancelSpan = 4096
 
 // ReleaseBuffers returns the model's pooled buffers (if the model holds
 // any) to their SweepPool so the next detector of the sweep reuses them.

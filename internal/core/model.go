@@ -110,9 +110,7 @@ func (m *SetModel) ReleaseBuffers() { m.win.release() }
 // any caller could reuse the backing array.
 func (m *SetModel) UpdateWindowsIDs(ids []int32) {
 	m.last = ids
-	for _, id := range ids {
-		m.win.push(id)
-	}
+	m.win.pushAll(ids)
 }
 
 // ComputeSimilarity implements Model.

@@ -138,31 +138,53 @@ func (w *windows) removeTW(id int32) {
 	}
 }
 
-// push consumes one element into the CW, shifting overflow into the TW and
-// dropping from the TW's far end when the policy bounds it. The counter
-// slices must already cover id (grow).
-func (w *windows) push(id int32) {
-	w.buf = append(w.buf, id)
-	w.nextIndex++
-	w.addCW(id)
-	if w.cwLen() > w.cwSize {
-		// CW front crosses into the TW.
-		moved := w.buf[w.head+w.twLen]
-		w.removeCW(moved)
-		w.addTW(moved)
-		w.twLen++
+// pushAll consumes ids in order: each enters the CW, shifting overflow
+// into the TW and dropping from the TW's far end when the policy bounds
+// it. The counter slices must already cover every id (grow).
+func (w *windows) pushAll(ids []int32) { w.feed(ids, 1, nil) }
+
+// feed is the window arithmetic, the only copy of it: it pushes ids in
+// order. With a nil d it pushes them all. Otherwise ids holds whole
+// groups of skip elements, the windows are d's, and after each group
+// d.decideSteady decides it inline; feed stops after the first group it
+// cannot decide and returns the number of elements consumed with
+// undecided set, so the caller can hand that group to the general path.
+func (w *windows) feed(ids []int32, skip int, d *Detector) (n int, undecided bool) {
+	left := skip
+	for i, id := range ids {
+		w.buf = append(w.buf, id)
+		w.nextIndex++
+		w.addCW(id)
+		if w.cwLen() > w.cwSize {
+			// CW front crosses into the TW.
+			moved := w.buf[w.head+w.twLen]
+			w.removeCW(moved)
+			w.addTW(moved)
+			w.twLen++
+		}
+		if w.twLen > w.twSize && !w.anchored {
+			dropped := w.buf[w.head]
+			w.removeTW(dropped)
+			w.head++
+			w.twLen--
+			w.firstIndex++
+			w.compact()
+		}
+		if !w.filled && w.cwLen() == w.cwSize && w.twLen >= w.twSize {
+			w.filled = true
+		}
+		if d == nil {
+			continue
+		}
+		if left--; left > 0 {
+			continue
+		}
+		left = skip
+		if !d.decideSteady(w) {
+			return i + 1, true
+		}
 	}
-	if w.twLen > w.twSize && !w.anchored {
-		dropped := w.buf[w.head]
-		w.removeTW(dropped)
-		w.head++
-		w.twLen--
-		w.firstIndex++
-		w.compact()
-	}
-	if !w.filled && w.cwLen() == w.cwSize && w.twLen >= w.twSize {
-		w.filled = true
-	}
+	return len(ids), false
 }
 
 // compact reclaims the dead prefix of buf once it dominates the slice.

@@ -14,7 +14,7 @@ func el(off int) trace.Branch { return trace.MakeBranch(0, off, true) }
 func pushAll(w *windows, ids ...int32) {
 	for _, id := range ids {
 		w.grow(int(id) + 1)
-		w.push(id)
+		w.pushAll([]int32{id})
 	}
 }
 

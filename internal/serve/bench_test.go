@@ -6,9 +6,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
+	"time"
 
 	"opd/internal/core"
+	"opd/internal/durable"
+	"opd/internal/faultinject"
+	"opd/internal/synth"
 	"opd/internal/trace"
 )
 
@@ -126,4 +131,110 @@ func BenchmarkEventLogPastCap(b *testing.B) {
 			}
 		})
 	}
+}
+
+const (
+	recoverSessions  = 2
+	recoverChunks    = 232
+	recoverChunk     = 4096
+	recoverSnapEvery = 64
+	// recoverTail is the elements boot replays: each session's records
+	// after its last cadence snapshot.
+	recoverTail = recoverSessions * (recoverChunks % recoverSnapEvery) * recoverChunk
+)
+
+// recoverSource is the eight synth traces at scale 1, concatenated.
+var recoverSource = sync.OnceValues(func() (trace.Trace, error) {
+	var base trace.Trace
+	for _, name := range synth.Names() {
+		tr, _, err := synth.Run(name, 1)
+		if err != nil {
+			return nil, err
+		}
+		base = append(base, tr...)
+	}
+	return base, nil
+})
+
+// buildCrashDir leaves in dir what a kill -9 leaves of a durable-branch
+// benchmark server: two branch-mode sessions of the stream workloads'
+// detector, each fed 232 chunks of 4096 elements of recoverSource (the
+// second starting halfway through) with a snapshot every 64 chunks and
+// fsync on every append, abandoned without shutdown. It returns the
+// sessions' IDs.
+func buildCrashDir(b *testing.B, dir string) []string {
+	b.Helper()
+	base, err := recoverSource()
+	if err != nil {
+		b.Fatal(err)
+	}
+	store, err := durable.Open(durable.Options{Dir: dir})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := NewManager(Options{Store: store, SnapshotEvery: recoverSnapEvery})
+	var ids []string
+	chunk := make(trace.Trace, recoverChunk)
+	for k := 0; k < recoverSessions; k++ {
+		s, err := m.Open(benchConfig)
+		if err != nil {
+			b.Fatal(err)
+		}
+		off := k * len(base) / recoverSessions
+		for c := 0; c < recoverChunks; c++ {
+			for i := range chunk {
+				chunk[i] = base[(off+c*recoverChunk+i)%len(base)]
+			}
+			if err := s.Feed(chunk); err != nil {
+				b.Fatal(err)
+			}
+		}
+		ids = append(ids, s.ID())
+	}
+	abandon(m)
+	return ids
+}
+
+// BenchmarkRecover times boot recovery — opening the store, NewManager
+// and Manager.Recover, which replays each session's WAL tail through its
+// detector — over a fresh copy of a durable-branch-shaped crash dir per
+// iteration, and reports the cost per replayed element.
+func BenchmarkRecover(b *testing.B) {
+	src := b.TempDir()
+	ids := buildCrashDir(b, src)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var elapsed time.Duration
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := b.TempDir()
+		if err := faultinject.CopyTree(dir, src); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		start := time.Now()
+		store, err := durable.Open(durable.Options{Dir: dir})
+		if err != nil {
+			b.Fatal(err)
+		}
+		m := NewManager(Options{Store: store, SnapshotEvery: recoverSnapEvery})
+		recovered, dropped, err := m.Recover()
+		elapsed += time.Since(start)
+		b.StopTimer()
+		if err != nil || recovered != recoverSessions || dropped != 0 {
+			b.Fatalf("recovered %d dropped %d: %v", recovered, dropped, err)
+		}
+		for _, id := range ids {
+			s, ok := m.Get(id)
+			if !ok {
+				b.Fatalf("session %s not recovered", id)
+			}
+			if c, _, _ := s.Progress(); c != recoverChunks*recoverChunk {
+				b.Fatalf("session %s recovered %d elements, want %d", id, c, recoverChunks*recoverChunk)
+			}
+		}
+		m.Shutdown()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(elapsed.Nanoseconds())/float64(b.N)/recoverTail, "ns/replayed-elem")
 }

@@ -127,6 +127,10 @@ func FuzzAdopt(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(exported)
+	// A branch record with bytes after its last element, which replay
+	// must refuse as ingest does.
+	bad, _ := trailingBytesBlob(f)
+	f.Add(bad)
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		n, used := m.Len(), m.MemUsed()

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net/http"
@@ -350,5 +351,114 @@ func TestAdoptEvictRaceAccounting(t *testing.T) {
 	}
 	if used := m.MemUsed(); used != 0 {
 		t.Errorf("byte accountant settled at %d, want 0 (double or missed release)", used)
+	}
+}
+
+// migrationBlob assembles an OPDMIGR1 blob from a session snapshot and
+// WAL records, as nodes that exported on-disk state used to.
+func migrationBlob(snapshot []byte, records ...[]byte) []byte {
+	blob := encodeMigration(snapshot)
+	blob = blob[:len(blob)-1] // drop the empty record count
+	blob = binary.AppendUvarint(blob, uint64(len(records)))
+	for _, r := range records {
+		blob = binary.AppendUvarint(blob, uint64(len(r)))
+		blob = append(blob, r...)
+	}
+	return blob
+}
+
+// trailingBytesBlob returns a migration blob of a branch-mode session
+// (CW 64, fed 1000 elements of phasedTrace) whose second WAL record is a
+// branch chunk with two bytes after its last element — a record ingest
+// refuses — and the same blob with that record intact.
+func trailingBytesBlob(t testing.TB) (bad, good []byte) {
+	t.Helper()
+	m := NewManager(Options{Registry: telemetry.NewRegistry()})
+	defer m.Shutdown()
+	cfg, err := ConfigRequest{CW: 64}.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := m.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := phasedTrace(1600)
+	if err := s.Feed(tr[:1000]); err != nil {
+		t.Fatal(err)
+	}
+	exported, err := m.Export(s.ID(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot, _, err := decodeMigration(exported)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := encodeChunk(tr[1000:1300]), encodeChunk(tr[1300:1600])
+	damaged := append(append([]byte(nil), second...), 0x02, 0x04)
+	return migrationBlob(snapshot, first, damaged), migrationBlob(snapshot, first, second)
+}
+
+// TestReplayAcceptsWhatIngestAccepts pins replay to ingest's decoder: a
+// branch WAL record with bytes after its last element, which ingest
+// rejects, must not replay either. Adoption refuses the blob and leaves
+// the session count and the byte accountant untouched; at boot the
+// record ends the replayed prefix.
+func TestReplayAcceptsWhatIngestAccepts(t *testing.T) {
+	bad, good := trailingBytesBlob(t)
+	m := NewManager(Options{Registry: telemetry.NewRegistry()})
+	defer m.Shutdown()
+	n, used := m.Len(), m.MemUsed()
+	if _, err := m.Adopt("trailing", bad); err == nil {
+		t.Fatal("adopt accepted a branch record with trailing bytes")
+	}
+	if m.Len() != n || m.MemUsed() != used {
+		t.Fatalf("refused adopt moved the counts: sessions %d -> %d, accounted bytes %d -> %d",
+			n, m.Len(), used, m.MemUsed())
+	}
+	s, err := m.Adopt("intact", good)
+	if err != nil {
+		t.Fatalf("adopt of the intact blob: %v", err)
+	}
+	if c, _, _ := s.Progress(); c != 1600 {
+		t.Fatalf("intact blob adopted at %d elements, want 1600", c)
+	}
+
+	// Boot: the same damaged record sits between two intact ones in a
+	// crashed session's WAL tail; replay keeps only the record before it.
+	dir := t.TempDir()
+	m1 := durableManager(t, dir, Options{SnapshotEvery: 1000})
+	cfg, err := ConfigRequest{CW: 64}.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, err := m1.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := phasedTrace(1600)
+	if err := s1.Feed(tr[:1000]); err != nil {
+		t.Fatal(err)
+	}
+	damaged := append(encodeChunk(tr[1000:1300]), 0x02, 0x04)
+	for _, rec := range [][]byte{damaged, encodeChunk(tr[1300:1600])} {
+		if _, err := s1.log.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id := s1.ID()
+	abandon(m1)
+	m2 := durableManager(t, dir, Options{SnapshotEvery: 1000})
+	defer m2.Shutdown()
+	if recovered, dropped, err := m2.Recover(); err != nil || recovered != 1 || dropped != 0 {
+		t.Fatalf("recover: recovered %d dropped %d err %v", recovered, dropped, err)
+	}
+	s2, ok := m2.Get(id)
+	if !ok {
+		t.Fatal("session not recovered")
+	}
+	if c, _, _ := s2.Progress(); c != 1000 {
+		t.Fatalf("boot replayed through the damaged record: %d elements, want 1000", c)
 	}
 }

@@ -184,13 +184,16 @@ func decodeSessionSnapshot(data []byte) (restoredSnapshot, error) {
 // dispatching on the record-type byte: symbol extensions and dense-ID
 // chunks rebuild an ID-mode session's table and stream, and raw branch
 // chunks go through ProcessBatch, which re-interns them to the IDs they
-// had. keepPrefix selects boot recovery's policy: replay stops without
-// error at the first record that does not decode (the durable prefix
-// ends there) or that re-poisons the session. Otherwise (adoption) that
-// record fails the replay.
+// had. Records decode in memory with ingest's own decoders, into buffers
+// reused from record to record, so replay accepts exactly the records
+// ingest accepts. keepPrefix selects boot recovery's policy: replay
+// stops without error at the first record that does not decode (the
+// durable prefix ends there) or that re-poisons the session. Otherwise
+// (adoption) that record fails the replay.
 func (s *Session) replayWAL(records [][]byte, keepPrefix bool) error {
+	var bufs replayBufs
 	for i, payload := range records {
-		if err := s.replayRecord(payload); err != nil {
+		if err := s.replayRecord(payload, &bufs); err != nil {
 			if keepPrefix {
 				return nil
 			}
@@ -200,8 +203,16 @@ func (s *Session) replayWAL(records [][]byte, keepPrefix bool) error {
 	return nil
 }
 
+// replayBufs are the decode buffers one replay reuses across records.
+// The detector keeps nothing of a chunk it consumed, so each record may
+// overwrite the last one's.
+type replayBufs struct {
+	elems trace.Trace
+	ids   []int32
+}
+
 // replayRecord applies one WAL record.
-func (s *Session) replayRecord(payload []byte) error {
+func (s *Session) replayRecord(payload []byte, bufs *replayBufs) error {
 	if len(payload) == 0 {
 		return errors.New("empty WAL record")
 	}
@@ -213,13 +224,15 @@ func (s *Session) replayRecord(payload []byte) error {
 		}
 		return s.replaySyms(start, syms)
 	case walRecIDs:
-		ids, err := trace.DecodeIDsPayload(nil, payload[1:], s.SymbolCount())
+		ids, err := trace.DecodeIDsPayload(bufs.ids[:0], payload[1:], s.SymbolCount())
+		bufs.ids = ids
 		if err != nil {
 			return err
 		}
 		return s.replayIDs(ids)
 	default:
-		elems, err := trace.ReadBranches(bytes.NewReader(payload))
+		elems, err := trace.DecodeBranchesLenient(bufs.elems[:0], payload)
+		bufs.elems = elems
 		if err != nil {
 			return err
 		}
