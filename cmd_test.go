@@ -114,6 +114,13 @@ func TestCommandLineTools(t *testing.T) {
 			t.Errorf("detect -preset %s output:\n%s", preset, out)
 		}
 	}
+	// The similarity distribution's count is the similarity-computation
+	// count the detector reports.
+	dasTel := runCmd(t, filepath.Join(bins, "detect"),
+		"-trace", prefix, "-preset", "das", "-cw", "500", "-telemetry-dump")
+	requireLines(t, "detect -preset das -telemetry-dump", dasTel,
+		`similarity computes:\s+28`,
+		`opd_detector_similarity_ppm\{detector="das/window500/pearson0\.6"\}\s+count=28 .*`)
 
 	// phasebench: the cheapest experiments at the smallest scale.
 	pbOut := runCmd(t, filepath.Join(bins, "phasebench"),
@@ -147,6 +154,28 @@ func TestCommandLineTools(t *testing.T) {
 	}
 	if !strings.Contains(vmCFG, "executed: 722 dynamic branches") {
 		t.Errorf("vmrun -inline changed semantics:\n%s", vmCFG)
+	}
+	// The recurring-phase workload is deterministic: 80 phases of 2
+	// behaviours, 2 compiles and 78 reuses.
+	vmTel := runCmd(t, filepath.Join(bins, "vmrun"),
+		"-jit", "-cw", "2000", "-telemetry-dump", "testdata/phases.asm")
+	requireLines(t, "vmrun -jit -telemetry-dump", vmTel,
+		`opd_vm_branches_total\{mode="interpreted"\}\s+3200121`,
+		`opd_jit_compiles_total\s+2`,
+		`opd_jit_guard_hits_total\s+78`,
+		`opd_jit_behaviours\s+2`,
+		`opd_detector_phase_length_elements\{detector="[^"]+"\}\s+count=80 .*`,
+		`#\d+\s+phase_start\s+src=.*`)
+}
+
+// requireLines fails the test unless every pattern matches a whole line
+// of out.
+func requireLines(t *testing.T, what, out string, patterns ...string) {
+	t.Helper()
+	for _, p := range patterns {
+		if !regexp.MustCompile(`(?m)^` + p + `$`).MatchString(out) {
+			t.Errorf("%s: no line matches %s:\n%s", what, p, out)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"opd/internal/interval"
 	"opd/internal/telemetry"
@@ -204,10 +203,9 @@ func (d *Detector) afterUpdate(groupStart, groupLen int64) State {
 	var sim float64
 	var ok bool
 	if d.probe != nil {
-		start := time.Now()
 		sim, ok = d.model.ComputeSimilarity()
 		if ok {
-			d.probe.Similarity(sim, time.Since(start).Nanoseconds())
+			d.probe.Similarity(sim)
 		}
 		d.probe.Group(groupLen)
 	} else if d.sm != nil {
@@ -228,7 +226,6 @@ func (d *Detector) afterUpdate(groupStart, groupLen int64) State {
 			d.analyzer.ResetStats()
 			d.beginPhase(groupStart, adj)
 			if d.probe != nil {
-				d.probe.WindowAnchor(groupStart)
 				d.probe.PhaseStart(groupStart, d.curAdjStart)
 			}
 			if d.onPhaseStart != nil {
@@ -239,9 +236,6 @@ func (d *Detector) afterUpdate(groupStart, groupLen int64) State {
 			// tracking, then flush the windows.
 			sig := d.phaseSignature()
 			d.model.ClearWindows()
-			if d.probe != nil {
-				d.probe.WindowClear(groupStart)
-			}
 			d.endPhase(groupStart, sig)
 		case d.state.IsPhase():
 			d.analyzer.UpdateStats(sim)

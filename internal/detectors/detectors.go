@@ -33,8 +33,9 @@ type options struct {
 
 // WithTelemetry instruments the assembled detector against reg: the
 // detector gets a DetectorProbe labeled with the algorithm and window
-// size, and the custom model a ModelProbe recording window consumption
-// and the similarity-value distribution. A nil registry is a no-op.
+// size, which records the similarity-value distribution the custom
+// model produces, one observation per computed group. A nil registry is
+// a no-op.
 func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(o *options) { o.reg = reg }
 }
@@ -71,7 +72,7 @@ func KistlerFranz(windowSize int, threshold float64) core.Config {
 // equals sampleWindow.
 func NewBBV(sampleWindow int, threshold float64, opts ...Option) *core.Detector {
 	o := applyOptions(opts)
-	model := &BBVModel{probe: telemetry.NewModelProbe(o.reg, "bbv")}
+	model := &BBVModel{}
 	d := core.NewDetector(model, core.NewThreshold(threshold), sampleWindow)
 	d.SetProbe(telemetry.NewDetectorProbe(o.reg, fmt.Sprintf("bbv/window%d/thr%g", sampleWindow, threshold)))
 	return d
@@ -85,7 +86,6 @@ type BBVModel struct {
 	havePrev  bool
 	consumed  int64
 	lastLen   int
-	probe     *telemetry.ModelProbe
 }
 
 var _ core.Model = (*BBVModel)(nil)
@@ -95,7 +95,6 @@ var _ core.Model = (*BBVModel)(nil)
 // a unit-sum frequency vector.
 func (m *BBVModel) UpdateWindowsIDs(ids []int32) {
 	elems := m.Decode(ids)
-	m.probe.Window()
 	m.prev, m.havePrev = m.cur, m.cur != nil
 	m.cur = make(map[trace.Branch]float64, len(m.prev))
 	if len(elems) == 0 {
@@ -128,9 +127,7 @@ func (m *BBVModel) ComputeSimilarity() (float64, bool) {
 			dist += f
 		}
 	}
-	sim := 1 - dist/2
-	m.probe.Similarity(sim)
-	return sim, true
+	return 1 - dist/2, true
 }
 
 // AnchorTrailingWindow implements core.Model.
@@ -152,7 +149,7 @@ func (m *BBVModel) ClearWindows() {
 // seven.
 func NewLu(sampleWindow, history int, band float64, opts ...Option) *core.Detector {
 	o := applyOptions(opts)
-	model := &LuModel{sampleWindow: sampleWindow, histCap: history, probe: telemetry.NewModelProbe(o.reg, "lu")}
+	model := &LuModel{sampleWindow: sampleWindow, histCap: history}
 	analyzer := &PersistenceAnalyzer{Threshold: 1 / (1 + band), Windows: 2}
 	d := core.NewDetector(model, analyzer, sampleWindow)
 	d.SetProbe(telemetry.NewDetectorProbe(o.reg, fmt.Sprintf("lu/window%d/history%d/band%g", sampleWindow, history, band)))
@@ -171,7 +168,6 @@ type LuModel struct {
 	curSum   float64
 	curN     int
 	consumed int64
-	probe    *telemetry.ModelProbe
 }
 
 var _ core.Model = (*LuModel)(nil)
@@ -179,7 +175,6 @@ var _ core.Model = (*LuModel)(nil)
 // UpdateWindowsIDs implements core.Model via the bound symbol table.
 func (m *LuModel) UpdateWindowsIDs(ids []int32) {
 	elems := m.Decode(ids)
-	m.probe.Window()
 	for _, e := range elems {
 		// The "PC" of a profile element is its static site identity.
 		m.curSum += float64(uint64(e.Site()))
@@ -213,9 +208,7 @@ func (m *LuModel) ComputeSimilarity() (float64, bool) {
 		z = 1e9 // zero-variance history and a different average: way out of band
 	}
 	m.hist = append(m.hist[1:], avg)
-	sim := 1 / (1 + z)
-	m.probe.Similarity(sim)
-	return sim, true
+	return 1 / (1 + z), true
 }
 
 // AnchorTrailingWindow implements core.Model: the phase is considered to
@@ -266,7 +259,7 @@ func (a *PersistenceAnalyzer) UpdateStats(float64) {}
 // compares it against a fixed threshold. skipFactor equals sampleWindow.
 func NewDas(sampleWindow int, threshold float64, opts ...Option) *core.Detector {
 	o := applyOptions(opts)
-	model := &PearsonModel{probe: telemetry.NewModelProbe(o.reg, "das")}
+	model := &PearsonModel{}
 	d := core.NewDetector(model, core.NewThreshold(threshold), sampleWindow)
 	d.SetProbe(telemetry.NewDetectorProbe(o.reg, fmt.Sprintf("das/window%d/pearson%g", sampleWindow, threshold)))
 	return d
@@ -280,7 +273,6 @@ type PearsonModel struct {
 	havePrev  bool
 	consumed  int64
 	lastLen   int
-	probe     *telemetry.ModelProbe
 }
 
 var _ core.Model = (*PearsonModel)(nil)
@@ -289,7 +281,6 @@ var _ core.Model = (*PearsonModel)(nil)
 // sample window, decoded through the bound symbol table.
 func (m *PearsonModel) UpdateWindowsIDs(ids []int32) {
 	elems := m.Decode(ids)
-	m.probe.Window()
 	m.prev, m.havePrev = m.cur, m.cur != nil
 	m.cur = make(map[trace.Branch]int, len(m.prev))
 	for _, e := range elems {
@@ -323,7 +314,6 @@ func (m *PearsonModel) ComputeSimilarity() (float64, bool) {
 		// identical windows are perfectly correlated by definition.
 		r = 1
 	}
-	m.probe.Similarity(r)
 	return r, true
 }
 

@@ -120,7 +120,9 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 // snapshots it covers, and recovery afterwards replays only the tail.
 func TestSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
-	s := testStore(t, Options{Dir: dir, SegmentBytes: 128})
+	reg := telemetry.NewRegistry()
+	chaos := faultinject.NewDiskChaos()
+	s := testStore(t, Options{Dir: dir, SegmentBytes: 128, Registry: reg, Hook: chaos.Hook})
 	log, err := s.Create("c")
 	if err != nil {
 		t.Fatal(err)
@@ -139,6 +141,19 @@ func TestSnapshotCompaction(t *testing.T) {
 		if _, err := log.Append(p); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// A failed snapshot counts as an error, not a snapshot, and leaves
+	// the previous one in place.
+	chaos.Fail(fmt.Errorf("injected: disk full"), "snapshot")
+	if err := log.Snapshot([]byte("s2")); err == nil {
+		t.Fatal("snapshot with a failing disk succeeded")
+	}
+	chaos.Heal()
+	if got := reg.Counter(telemetry.MetricDurableSnapshotErrors).Value(); got != 1 {
+		t.Errorf("%s = %d, want 1", telemetry.MetricDurableSnapshotErrors, got)
+	}
+	if got := reg.Counter(telemetry.MetricDurableSnapshots).Value(); got != 2 {
+		t.Errorf("%s = %d, want 2 (s0, s1)", telemetry.MetricDurableSnapshots, got)
 	}
 	log.Close()
 
@@ -377,8 +392,8 @@ func TestRecoverSegmentGap(t *testing.T) {
 	}
 }
 
-// TestFsyncPolicies exercises each policy and checks the fsync telemetry
-// counter moves (or doesn't) accordingly.
+// TestFsyncPolicies exercises each policy and checks the count of the
+// fsync latency histogram moves (or doesn't) accordingly.
 func TestFsyncPolicies(t *testing.T) {
 	fsyncs := func(opts Options, n int) int64 {
 		reg := telemetry.NewRegistry()
@@ -389,13 +404,13 @@ func TestFsyncPolicies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := reg.Counter(telemetry.MetricDurableFsyncs).Value()
+		before := reg.Latency(telemetry.MetricDurableFsyncLatency).Count()
 		for _, p := range payloads(n) {
 			if _, err := log.Append(p); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return reg.Counter(telemetry.MetricDurableFsyncs).Value() - before
+		return reg.Latency(telemetry.MetricDurableFsyncLatency).Count() - before
 	}
 	// Segment rotation fsyncs the directory once under every policy, so
 	// the data-fsync distinction shows up as: always >= one per append,

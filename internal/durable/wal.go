@@ -78,8 +78,7 @@ func (l *SessionLog) syncFile(f *os.File) (int64, error) {
 		return 0, err
 	}
 	ns := time.Since(t0).Nanoseconds()
-	l.probe.Fsync()
-	l.probe.FsyncLatency(ns)
+	l.probe.Fsync(ns)
 	return ns, nil
 }
 
@@ -168,9 +167,8 @@ func (l *SessionLog) Append(parts ...[]byte) (AppendStats, error) {
 	}
 	l.segSize += int64(len(frame))
 	l.nextIdx++
-	l.probe.Record(int64(len(frame)))
 	stats.WriteNS = time.Since(t0).Nanoseconds()
-	l.probe.AppendLatency(stats.WriteNS)
+	l.probe.Append(int64(len(frame)), stats.WriteNS)
 	switch l.opts.Policy {
 	case SyncAlways:
 		ns, err := l.syncFile(l.f)
@@ -204,11 +202,10 @@ func (l *SessionLog) Snapshot(payload []byte) error {
 	idx := l.nextIdx
 	t0 := time.Now()
 	err := l.writeSnapshot(idx, payload)
-	l.probe.Snapshot(err != nil)
+	l.probe.Snapshot(time.Since(t0).Nanoseconds(), err != nil)
 	if err != nil {
 		return err
 	}
-	l.probe.SnapshotLatency(time.Since(t0).Nanoseconds())
 	l.compact(idx)
 	return nil
 }

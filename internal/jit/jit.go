@@ -78,7 +78,6 @@ func New(cfg Config) (*System, error) {
 	probe := telemetry.NewJITProbe(cfg.Telemetry)
 	d.SetProbe(telemetry.NewDetectorProbe(cfg.Telemetry, cfg.Detector.ID()))
 	d.SetPhaseStartHook(func(adjStart int64, sig []trace.Branch) {
-		probe.GuardCheck()
 		if id, _, ok := s.tracker.Match(sig); ok {
 			s.curPlan, s.curReused, s.curValid = id, true, true
 			s.reuses++
@@ -96,7 +95,7 @@ func New(cfg Config) (*System, error) {
 		}
 		s.decisions = append(s.decisions, Decision{Phase: p, Behaviour: s.curPlan, Reused: s.curReused})
 		s.curValid = false
-		probe.PhaseDone(p.Len(), s.tracker.KnownPhases())
+		probe.Behaviours(s.tracker.KnownPhases())
 	})
 	return s, nil
 }

@@ -96,13 +96,21 @@ func TestDurableCrashRecoveryEquivalence(t *testing.T) {
 					}
 				}
 
-				m2 := durableManager(t, dir, Options{SnapshotEvery: 3})
+				reg := telemetry.NewRegistry()
+				m2 := durableManager(t, dir, Options{SnapshotEvery: 3, Registry: reg})
 				recovered, dropped, err := m2.Recover()
 				if err != nil {
 					t.Fatal(err)
 				}
 				if recovered != 1 || dropped != 0 {
 					t.Fatalf("%s cut %d: recovered %d dropped %d", cfg.ID(), cut, recovered, dropped)
+				}
+				wantTorn := int64(0)
+				if tearTail {
+					wantTorn = 1
+				}
+				if got := reg.Counter(telemetry.MetricDurableTornTruncations).Value(); got != wantTorn {
+					t.Fatalf("%s cut %d: %s = %d, want %d", cfg.ID(), cut, telemetry.MetricDurableTornTruncations, got, wantTorn)
 				}
 				s2, ok := m2.Get(id)
 				if !ok {
@@ -207,11 +215,16 @@ func TestRecoverDropsSnapshotlessSession(t *testing.T) {
 	log.Append([]byte("chunk-without-config"))
 	log.Close()
 
-	m := durableManager(t, dir, Options{Registry: telemetry.NewRegistry()})
+	reg := telemetry.NewRegistry()
+	m := durableManager(t, dir, Options{Registry: reg})
 	defer m.Shutdown()
 	recovered, dropped, err := m.Recover()
 	if err != nil || recovered != 0 || dropped != 1 {
 		t.Fatalf("recover = %d/%d, %v; want 0 recovered, 1 dropped", recovered, dropped, err)
+	}
+	if d, r := reg.Counter(telemetry.MetricDurableSessionsDropped).Value(),
+		reg.Counter(telemetry.MetricDurableSessionsRecovered).Value(); d != 1 || r != 0 {
+		t.Errorf("dropped/recovered counters = %d/%d, want 1/0", d, r)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "sessions", "0123456789abcdef0123456789abcdef")); !os.IsNotExist(err) {
 		t.Fatalf("dropped session dir survives: %v", err)
@@ -244,6 +257,9 @@ func TestRecoveredSessionsCountActive(t *testing.T) {
 	defer m2.Shutdown()
 	if recovered, dropped, err := m2.Recover(); err != nil || recovered != n || dropped != 0 {
 		t.Fatalf("recover = %d/%d, %v; want %d recovered", recovered, dropped, err, n)
+	}
+	if got := reg.Counter(telemetry.MetricDurableSessionsRecovered).Value(); got != n {
+		t.Errorf("%s = %d, want %d", telemetry.MetricDurableSessionsRecovered, got, n)
 	}
 	active := reg.Gauge(telemetry.MetricServeSessionsActive)
 	if got := active.Value(); got != n || m2.Len() != n {

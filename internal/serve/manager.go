@@ -658,7 +658,6 @@ func (m *Manager) Recover() (recovered, dropped int, err error) {
 	if m.opts.Store == nil {
 		return 0, 0, nil
 	}
-	m.dprobe.Recovery()
 	recs, err := m.opts.Store.Recover()
 	if err != nil {
 		return 0, 0, err

@@ -655,7 +655,7 @@ func (s *Server) handleElements(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.manager.probe.Chunk(ct.Bytes, int64(len(elems)))
+	s.manager.probe.Chunk(int64(len(elems)))
 	consumed, inPhase, eventsTotal := sess.Progress()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"elements":     len(elems),

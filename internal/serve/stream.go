@@ -510,7 +510,7 @@ func (s *Server) serveStream(sc *streamConn, fr *trace.FrameReader) {
 				sc.sendErr(errors.Is(ferr, ErrPersist) || errors.Is(ferr, ErrMigrated), ferr)
 				return
 			}
-			s.manager.probe.Chunk(ct.Bytes, elements)
+			s.manager.probe.Chunk(elements)
 			// Acks carry the absolute applied cursor, so under a burst one
 			// ack can cover every chunk in it: defer to the loop-top
 			// drain point rather than paying the progress-snapshot and

@@ -115,6 +115,13 @@ func TestPanicIsolatedToOneRun(t *testing.T) {
 	if snap != 1 {
 		t.Errorf("%s = %v, want 1", telemetry.MetricSweepRunPanics, snap)
 	}
+	if got := findCounter(t, reg, telemetry.MetricSweepRunErrors); got != 1 {
+		t.Errorf("%s = %v, want 1", telemetry.MetricSweepRunErrors, got)
+	}
+	// The run-time histogram's count is the completed-run count.
+	if got := reg.Latency(telemetry.MetricSweepRunNS).Count(); got != int64(sum.Completed) {
+		t.Errorf("%s count = %d, want %d", telemetry.MetricSweepRunNS, got, sum.Completed)
+	}
 }
 
 // findCounter returns the summed value of a counter family.

@@ -259,7 +259,7 @@ func runOne(ctx context.Context, in *trace.Interned, cfg core.Config,
 	run.Elements = elements
 	run.Elapsed = elapsed
 	d.ReleaseBuffers()
-	probe.Run(elapsed.Seconds(), d.SimilarityComputations(), elements)
+	probe.Run(elapsed, d.SimilarityComputations(), elements)
 	return run
 }
 

@@ -6,13 +6,13 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strconv"
+	"sort"
 	"strings"
 )
 
-// promLabels renders a label set (plus optional extras, e.g. le) in
-// Prometheus exposition syntax, including the braces; empty sets render
-// as nothing.
+// promLabels renders a label set (plus optional extras, e.g. quantile)
+// in Prometheus exposition syntax, including the braces; empty sets
+// render as nothing. It also renders the registry's lookup keys.
 func promLabels(labels []Label, extra ...Label) string {
 	all := append(append([]Label(nil), labels...), extra...)
 	if len(all) == 0 {
@@ -28,10 +28,6 @@ func promLabels(labels []Label, extra ...Label) string {
 	}
 	sb.WriteByte('}')
 	return sb.String()
-}
-
-func formatBound(b float64) string {
-	return strconv.FormatFloat(b, 'g', -1, 64)
 }
 
 // WritePrometheus renders every instrument in the Prometheus text
@@ -52,16 +48,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				return err
 			}
 		}
-		kind := "counter"
-		switch {
-		case fam[0].gauge != nil:
-			kind = "gauge"
-		case fam[0].hist != nil:
-			kind = "histogram"
-		case fam[0].lat != nil:
-			kind = "summary"
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, kind); err != nil {
+		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, fam[0].kind()); err != nil {
 			return err
 		}
 		for _, e := range fam {
@@ -71,23 +58,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				_, err = fmt.Fprintf(w, "%s%s %d\n", name, promLabels(e.labels), e.counter.Value())
 			case e.gauge != nil:
 				_, err = fmt.Fprintf(w, "%s%s %g\n", name, promLabels(e.labels), e.gauge.Value())
-			case e.hist != nil:
-				bounds, cum, count, sum := e.hist.snapshot()
-				for i, b := range bounds {
-					if _, err = fmt.Fprintf(w, "%s_bucket%s %d\n",
-						name, promLabels(e.labels, L("le", formatBound(b))), cum[i]); err != nil {
-						return err
-					}
-				}
-				if _, err = fmt.Fprintf(w, "%s_bucket%s %d\n",
-					name, promLabels(e.labels, L("le", "+Inf")), count); err != nil {
-					return err
-				}
-				if _, err = fmt.Fprintf(w, "%s_sum%s %g\n%s_count%s %d\n",
-					name, promLabels(e.labels), sum, name, promLabels(e.labels), count); err != nil {
-					return err
-				}
-				continue
 			case e.lat != nil:
 				s := e.lat.Summary()
 				for _, q := range []struct {
@@ -99,11 +69,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 						return err
 					}
 				}
-				if _, err = fmt.Fprintf(w, "%s_sum%s %d\n%s_count%s %d\n",
-					name, promLabels(e.labels), s.SumNS, name, promLabels(e.labels), s.Count); err != nil {
-					return err
-				}
-				continue
+				_, err = fmt.Fprintf(w, "%s_sum%s %d\n%s_count%s %d\n",
+					name, promLabels(e.labels), s.SumNS, name, promLabels(e.labels), s.Count)
 			}
 			if err != nil {
 				return err
@@ -122,7 +89,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 }
 
 // WriteReport renders a compact human-readable end-of-run report: every
-// scalar metric, histogram summaries, and the tail of the event trace.
+// scalar metric, histogram percentiles, and the tail of the event trace.
 // This is the body of the -telemetry-dump flag in the cmds. Safe on a
 // nil registry.
 func (r *Registry) WriteReport(w io.Writer) error {
@@ -144,16 +111,6 @@ func (r *Registry) WriteReport(w io.Writer) error {
 	}
 	for _, p := range s.Gauges {
 		if err := line("%-56s %g\n", p.Name+promLabels(labelsOf(p.Labels)), p.Value); err != nil {
-			return err
-		}
-	}
-	for _, h := range s.Histograms {
-		mean := 0.0
-		if h.Count > 0 {
-			mean = h.Sum / float64(h.Count)
-		}
-		if err := line("%-56s count=%d mean=%.4g sum=%.4g\n",
-			h.Name+promLabels(labelsOf(h.Labels)), h.Count, mean, h.Sum); err != nil {
 			return err
 		}
 	}
@@ -191,11 +148,7 @@ func labelsOf(m map[string]string) []Label {
 		keys = append(keys, k)
 	}
 	// Insertion order is lost in the map; sort for stable output.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	sort.Strings(keys)
 	out := make([]Label, 0, len(keys))
 	for _, k := range keys {
 		out = append(out, L(k, m[k]))

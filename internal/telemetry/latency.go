@@ -6,15 +6,20 @@ import (
 	"time"
 )
 
-// A LatencyHistogram accumulates nanosecond durations into fixed
-// log-scale buckets and answers percentile queries (p50/p99/p999/max)
-// without ever locking or allocating on the record path.
+// A LatencyHistogram accumulates non-negative int64 values into fixed
+// log-linear buckets and answers percentile queries (p50/p99/p999/max)
+// without ever locking or allocating on the record path. It is the
+// package's only histogram: latencies in nanoseconds, but also element
+// counts and similarity values in parts per million. The family's
+// suffix names the unit (_ns, _elements, _ppm); the _ns in the
+// snapshot's JSON field names is historical and holds whatever unit the
+// family records.
 //
 // Bucket layout (HDR-histogram style): values below subCount land in
 // their own exact bucket; above that, each power-of-two octave is split
 // into subCount linear sub-buckets, bounding the relative error of any
-// readout at 1/subCount (6.25%) — plenty for latency percentiles, where
-// the interesting signal is orders of magnitude, not nanoseconds.
+// readout at 1/subCount (6.25%) — plenty for percentiles, where the
+// interesting signal is orders of magnitude, not units.
 //
 // Everything is a plain atomic add except the max, which CASes only when
 // a new observation actually exceeds it (rare in steady state). All
@@ -23,7 +28,7 @@ import (
 type LatencyHistogram struct {
 	buckets [latBuckets]atomic.Int64
 	count   atomic.Int64
-	sum     atomic.Int64 // total nanoseconds
+	sum     atomic.Int64
 	max     atomic.Int64
 }
 
@@ -35,17 +40,17 @@ const (
 	latBuckets = (63 - latSubBits + 1) * latSubCnt
 )
 
-// latBucketFor maps a nanosecond value to its bucket index. Negative
-// values clamp to bucket zero.
-func latBucketFor(ns int64) int {
-	if ns < latSubCnt {
-		if ns < 0 {
+// latBucketFor maps a value to its bucket index. Negative values clamp
+// to bucket zero.
+func latBucketFor(v int64) int {
+	if v < latSubCnt {
+		if v < 0 {
 			return 0
 		}
-		return int(ns)
+		return int(v)
 	}
-	e := bits.Len64(uint64(ns)) - 1 // 2^e <= ns < 2^(e+1), e >= latSubBits
-	sub := int(ns>>(uint(e)-latSubBits)) & (latSubCnt - 1)
+	e := bits.Len64(uint64(v)) - 1 // 2^e <= v < 2^(e+1), e >= latSubBits
+	sub := int(v>>(uint(e)-latSubBits)) & (latSubCnt - 1)
 	i := (e-latSubBits+1)*latSubCnt + sub
 	if i >= latBuckets {
 		return latBuckets - 1
@@ -68,17 +73,17 @@ func latBucketUpper(i int) int64 {
 // callers obtain one from a Registry.
 func NewLatencyHistogram() *LatencyHistogram { return &LatencyHistogram{} }
 
-// Observe records one duration in nanoseconds. Safe on a nil receiver.
-func (h *LatencyHistogram) Observe(ns int64) {
+// Observe records one value. Safe on a nil receiver.
+func (h *LatencyHistogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	h.buckets[latBucketFor(ns)].Add(1)
+	h.buckets[latBucketFor(v)].Add(1)
 	h.count.Add(1)
-	h.sum.Add(ns)
+	h.sum.Add(v)
 	for {
 		old := h.max.Load()
-		if ns <= old || h.max.CompareAndSwap(old, ns) {
+		if v <= old || h.max.CompareAndSwap(old, v) {
 			return
 		}
 	}
@@ -100,7 +105,7 @@ func (h *LatencyHistogram) Count() int64 {
 	return h.count.Load()
 }
 
-// Sum returns the total observed nanoseconds (zero on nil).
+// Sum returns the total of the observed values (zero on nil).
 func (h *LatencyHistogram) Sum() int64 {
 	if h == nil {
 		return 0
@@ -158,14 +163,6 @@ type LatencySummary struct {
 	P99   int64 `json:"p99_ns"`
 	P999  int64 `json:"p999_ns"`
 	Max   int64 `json:"max_ns"`
-}
-
-// MeanNS returns the average observation in nanoseconds.
-func (s LatencySummary) MeanNS() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.SumNS) / float64(s.Count)
 }
 
 // Summary reads the standard percentile set. Individual loads are

@@ -1,6 +1,6 @@
 // Package telemetry is the repository's instrumentation substrate: a
 // dependency-free, allocation-conscious layer of lock-free counters,
-// gauges, and fixed-bucket histograms, a bounded ring buffer of phase
+// gauges, and log-linear histograms, a bounded ring buffer of phase
 // lifecycle events, and a registry that snapshots everything on demand and
 // exposes it as Prometheus text, JSON, or a live /debug/phasedet HTTP
 // endpoint.
@@ -75,105 +75,4 @@ func (g *Gauge) Value() float64 {
 		return 0
 	}
 	return math.Float64frombits(g.bits.Load())
-}
-
-// A Histogram accumulates observations into fixed buckets chosen at
-// construction. Buckets, count, and sum are all updated with atomic
-// operations; no observation allocates.
-type Histogram struct {
-	bounds  []float64 // inclusive upper bounds; an implicit +Inf bucket follows
-	buckets []atomic.Int64
-	count   atomic.Int64
-	sumBits atomic.Uint64
-}
-
-// NewHistogram builds a histogram over the given inclusive upper bounds,
-// which must be sorted ascending. An implicit +Inf bucket catches the
-// rest. Free-standing histograms are occasionally useful in tests; most
-// callers obtain them from a Registry.
-func NewHistogram(bounds []float64) *Histogram {
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
-	return &Histogram{bounds: b, buckets: make([]atomic.Int64, len(b)+1)}
-}
-
-// Observe records one value. Safe on a nil receiver (no-op).
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Count returns the number of observations (zero on a nil receiver).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of observed values (zero on a nil receiver).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sumBits.Load())
-}
-
-// Mean returns the average observation, or zero before any.
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
-}
-
-// snapshot returns the bucket upper bounds and cumulative counts
-// (Prometheus "le" semantics: counts[i] is the number of observations
-// <= bounds[i], with the final entry the total count).
-func (h *Histogram) snapshot() (bounds []float64, cumulative []int64, count int64, sum float64) {
-	if h == nil {
-		return nil, nil, 0, 0
-	}
-	bounds = h.bounds
-	cumulative = make([]int64, len(h.buckets))
-	var running int64
-	for i := range h.buckets {
-		running += h.buckets[i].Load()
-		cumulative[i] = running
-	}
-	return bounds, cumulative, h.count.Load(), h.Sum()
-}
-
-// Standard bucket ladders.
-
-// LatencyBucketsNS covers 100ns..100ms in roughly 1-3-10 steps — the
-// range of one similarity computation through one full detector run.
-func LatencyBucketsNS() []float64 {
-	return []float64{100, 300, 1e3, 3e3, 1e4, 3e4, 1e5, 3e5, 1e6, 3e6, 1e7, 3e7, 1e8}
-}
-
-// ElementBuckets covers dwell times and window sizes measured in profile
-// elements, 10..10M in decade/half-decade steps.
-func ElementBuckets() []float64 {
-	return []float64{10, 50, 100, 500, 1e3, 5e3, 1e4, 5e4, 1e5, 5e5, 1e6, 5e6, 1e7}
-}
-
-// UnitBuckets covers [0,1]-valued quantities such as similarity values.
-func UnitBuckets() []float64 {
-	return []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 1}
 }

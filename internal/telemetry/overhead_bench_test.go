@@ -10,7 +10,8 @@ package telemetry_test
 //	    ./internal/core/... ./internal/telemetry/...
 //
 // BenchmarkDetectorProcessEnabled bounds the cost of full instrumentation
-// (latency timing, atomics, event ring) for comparison.
+// (per-group counter and similarity-histogram atomics, the event ring)
+// for comparison.
 
 import (
 	"testing"

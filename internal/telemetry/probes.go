@@ -1,5 +1,10 @@
 package telemetry
 
+import (
+	"math"
+	"time"
+)
+
 // This file defines the typed probes the instrumented subsystems hold.
 // A probe is created once against a Registry, caches every instrument
 // pointer, and exposes a handful of methods tailored to its subsystem's
@@ -10,38 +15,26 @@ package telemetry
 // Metric family names. Kept as constants so tests, docs, and dashboards
 // reference one spelling.
 const (
-	MetricDetectorElements     = "opd_detector_elements_total"
-	MetricDetectorGroups       = "opd_detector_groups_total"
-	MetricDetectorSimComps     = "opd_detector_sim_computations_total"
-	MetricDetectorSimLatency   = "opd_detector_sim_latency_ns"
-	MetricDetectorSimilarity   = "opd_detector_similarity"
-	MetricDetectorState        = "opd_detector_state"
-	MetricDetectorStateFlips   = "opd_detector_state_flips_total"
-	MetricDetectorStateDwell   = "opd_detector_state_dwell_elements"
-	MetricDetectorPhaseStarts  = "opd_detector_phases_started_total"
-	MetricDetectorPhaseEnds    = "opd_detector_phases_ended_total"
-	MetricDetectorPhaseLength  = "opd_detector_phase_length_elements"
-	MetricDetectorAnchorMoves  = "opd_detector_anchor_adjustments_total"
-	MetricDetectorAnchorDist   = "opd_detector_anchor_adjustment_elements"
-	MetricDetectorWindowClears = "opd_detector_window_clears_total"
-	MetricDetectorWindowAnch   = "opd_detector_window_anchors_total"
+	MetricDetectorElements    = "opd_detector_elements_total"
+	MetricDetectorSimilarity  = "opd_detector_similarity_ppm"
+	MetricDetectorStateFlips  = "opd_detector_state_flips_total"
+	MetricDetectorStateDwell  = "opd_detector_state_dwell_elements"
+	MetricDetectorPhaseStarts = "opd_detector_phases_started_total"
+	MetricDetectorPhaseLength = "opd_detector_phase_length_elements"
+	MetricDetectorAnchorDist  = "opd_detector_anchor_adjustment_elements"
 
-	MetricJITCompiles    = "opd_jit_compiles_total"
-	MetricJITReuses      = "opd_jit_reuses_total"
-	MetricJITGuardChecks = "opd_jit_guard_checks_total"
-	MetricJITGuardHits   = "opd_jit_guard_hits_total"
-	MetricJITBehaviours  = "opd_jit_behaviours"
-	MetricJITSpecialized = "opd_jit_specialized_elements_total"
+	MetricJITCompiles   = "opd_jit_compiles_total"
+	MetricJITGuardHits  = "opd_jit_guard_hits_total"
+	MetricJITBehaviours = "opd_jit_behaviours"
 
 	MetricVMSteps    = "opd_vm_steps_total"
 	MetricVMBranches = "opd_vm_branches_total"
 	MetricVMCalls    = "opd_vm_calls_total"
 	MetricVMLoops    = "opd_vm_loops_total"
 
-	MetricSweepRuns        = "opd_sweep_runs_total"
 	MetricSweepSimComps    = "opd_sweep_sim_computations_total"
 	MetricSweepElements    = "opd_sweep_elements_total"
-	MetricSweepRunSeconds  = "opd_sweep_run_seconds"
+	MetricSweepRunNS       = "opd_sweep_run_ns"
 	MetricSweepInterned    = "opd_sweep_interned_elements_total"
 	MetricSweepSymbols     = "opd_sweep_interned_symbols"
 	MetricSweepPoolHits    = "opd_sweep_pool_hits_total"
@@ -55,9 +48,6 @@ const (
 	MetricTraceSalvages      = "opd_trace_salvaged_reads_total"
 	MetricTraceSalvagedElems = "opd_trace_salvaged_elements_total"
 
-	MetricModelWindows    = "opd_model_windows_total"
-	MetricModelSimilarity = "opd_model_similarity_value"
-
 	MetricServeSessionsOpened   = "opd_serve_sessions_opened_total"
 	MetricServeSessionsActive   = "opd_serve_sessions_active"
 	MetricServeSessionsClosed   = "opd_serve_sessions_closed_total"
@@ -66,7 +56,6 @@ const (
 	MetricServeSessionsRejected = "opd_serve_sessions_rejected_total"
 	MetricServeChunks           = "opd_serve_chunks_total"
 	MetricServeChunkErrors      = "opd_serve_chunk_errors_total"
-	MetricServeIngestBytes      = "opd_serve_ingest_bytes_total"
 	MetricServeIngestElements   = "opd_serve_ingest_elements_total"
 	MetricServeEventsEmitted    = "opd_serve_events_emitted_total"
 	MetricServeStageLatency     = "opd_serve_stage_latency_ns"
@@ -89,12 +78,9 @@ const (
 	MetricResilienceResumes        = "opd_resilience_durability_resumes_total"
 	MetricResilienceDegraded       = "opd_resilience_degraded_sessions"
 
-	MetricDurableWALRecords        = "opd_durable_wal_records_total"
 	MetricDurableWALBytes          = "opd_durable_wal_bytes_total"
-	MetricDurableFsyncs            = "opd_durable_fsyncs_total"
 	MetricDurableSnapshots         = "opd_durable_snapshots_total"
 	MetricDurableSnapshotErrors    = "opd_durable_snapshot_errors_total"
-	MetricDurableRecoveries        = "opd_durable_recoveries_total"
 	MetricDurableSessionsRecovered = "opd_durable_sessions_recovered_total"
 	MetricDurableSessionsDropped   = "opd_durable_sessions_dropped_total"
 	MetricDurableTornTruncations   = "opd_durable_torn_truncations_total"
@@ -103,30 +89,23 @@ const (
 	MetricDurableSnapshotLatency   = "opd_durable_snapshot_ns"
 )
 
-// A DetectorProbe instruments one core.Detector: element/group/similarity
-// throughput, per-group similarity latency, state dwell times, and the
-// phase lifecycle event trace.
+// A DetectorProbe instruments one core.Detector with the measures of
+// its phase behaviour: the similarity distribution (whose count is the
+// detector's cost in similarity computations), P/T dwell, state flips,
+// phase length and anchor adjustments, plus the phase lifecycle event
+// trace.
 type DetectorProbe struct {
 	src  string
 	ring *Ring
 
-	elements   *Counter
-	groups     *Counter
-	simComps   *Counter
-	simLatency *Histogram
-	similarity *Gauge
-	state      *Gauge
-	stateFlips *Counter
-	dwellP     *Histogram
-	dwellT     *Histogram
-
+	elements    *Counter
+	similarity  *LatencyHistogram
+	stateFlips  *Counter
+	dwellP      *LatencyHistogram
+	dwellT      *LatencyHistogram
 	phaseStarts *Counter
-	phaseEnds   *Counter
-	phaseLength *Histogram
-	anchorMoves *Counter
-	anchorDist  *Histogram
-	winClears   *Counter
-	winAnchors  *Counter
+	phaseLength *LatencyHistogram
+	anchorDist  *LatencyHistogram
 }
 
 // NewDetectorProbe builds the detector probe labeled {detector=id}.
@@ -135,30 +114,20 @@ func NewDetectorProbe(reg *Registry, id string) *DetectorProbe {
 	if reg == nil {
 		return nil
 	}
-	reg.Help(MetricDetectorSimComps, "Similarity computations performed (the detector's dominant cost).")
-	reg.Help(MetricDetectorSimLatency, "Per-group similarity computation latency in nanoseconds.")
+	reg.Help(MetricDetectorSimilarity, "Similarity values in parts per million (round(sim*1e6), negative values as 0); the count is the similarity computations performed, the detector's dominant cost.")
 	reg.Help(MetricDetectorStateDwell, "Elements spent in a P/T state before flipping.")
-	reg.Help(MetricDetectorState, "Current detector state (1 = in phase, 0 = transition).")
 	l := L("detector", id)
 	return &DetectorProbe{
 		src:         id,
 		ring:        reg.Ring(),
 		elements:    reg.Counter(MetricDetectorElements, l),
-		groups:      reg.Counter(MetricDetectorGroups, l),
-		simComps:    reg.Counter(MetricDetectorSimComps, l),
-		simLatency:  reg.Histogram(MetricDetectorSimLatency, LatencyBucketsNS(), l),
-		similarity:  reg.Gauge(MetricDetectorSimilarity, l),
-		state:       reg.Gauge(MetricDetectorState, l),
+		similarity:  reg.Latency(MetricDetectorSimilarity, l),
 		stateFlips:  reg.Counter(MetricDetectorStateFlips, l),
-		dwellP:      reg.Histogram(MetricDetectorStateDwell, ElementBuckets(), l, L("state", "P")),
-		dwellT:      reg.Histogram(MetricDetectorStateDwell, ElementBuckets(), l, L("state", "T")),
+		dwellP:      reg.Latency(MetricDetectorStateDwell, l, L("state", "P")),
+		dwellT:      reg.Latency(MetricDetectorStateDwell, l, L("state", "T")),
 		phaseStarts: reg.Counter(MetricDetectorPhaseStarts, l),
-		phaseEnds:   reg.Counter(MetricDetectorPhaseEnds, l),
-		phaseLength: reg.Histogram(MetricDetectorPhaseLength, ElementBuckets(), l),
-		anchorMoves: reg.Counter(MetricDetectorAnchorMoves, l),
-		anchorDist:  reg.Histogram(MetricDetectorAnchorDist, ElementBuckets(), l),
-		winClears:   reg.Counter(MetricDetectorWindowClears, l),
-		winAnchors:  reg.Counter(MetricDetectorWindowAnch, l),
+		phaseLength: reg.Latency(MetricDetectorPhaseLength, l),
+		anchorDist:  reg.Latency(MetricDetectorAnchorDist, l),
 	}
 }
 
@@ -168,17 +137,20 @@ func (p *DetectorProbe) Group(n int64) {
 		return
 	}
 	p.elements.Add(n)
-	p.groups.Inc()
 }
 
-// Similarity records one computed similarity value and its latency.
-func (p *DetectorProbe) Similarity(sim float64, latNS int64) {
+// Similarity records one computed similarity value, in parts per
+// million. Values below zero (a negative correlation) and NaN record as
+// zero.
+func (p *DetectorProbe) Similarity(sim float64) {
 	if p == nil {
 		return
 	}
-	p.simComps.Inc()
-	p.similarity.Set(sim)
-	p.simLatency.Observe(float64(latNS))
+	var ppm int64
+	if sim > 0 {
+		ppm = int64(math.Round(sim * 1e6))
+	}
+	p.similarity.Observe(ppm)
 }
 
 // StateFlip records an analyzer state change at stream position at:
@@ -191,11 +163,9 @@ func (p *DetectorProbe) StateFlip(enteredPhase bool, at, dwell int64) {
 	v1 := int64(0)
 	if enteredPhase {
 		v1 = 1
-		p.state.Set(1)
-		p.dwellT.Observe(float64(dwell)) // leaving T
+		p.dwellT.Observe(dwell) // leaving T
 	} else {
-		p.state.Set(0)
-		p.dwellP.Observe(float64(dwell)) // leaving P
+		p.dwellP.Observe(dwell) // leaving P
 	}
 	p.ring.Record(EvStateFlip, p.src, at, v1, dwell)
 }
@@ -207,9 +177,9 @@ func (p *DetectorProbe) EndOfStream(inPhase bool, dwell int64) {
 		return
 	}
 	if inPhase {
-		p.dwellP.Observe(float64(dwell))
+		p.dwellP.Observe(dwell)
 	} else {
-		p.dwellT.Observe(float64(dwell))
+		p.dwellT.Observe(dwell)
 	}
 }
 
@@ -222,9 +192,7 @@ func (p *DetectorProbe) PhaseStart(groupStart, adjStart int64) {
 	p.phaseStarts.Inc()
 	p.ring.Record(EvPhaseStart, p.src, groupStart, adjStart, 0)
 	if adjStart < groupStart {
-		p.anchorMoves.Inc()
-		p.anchorDist.Observe(float64(groupStart - adjStart))
-		p.ring.Record(EvAnchorAdjust, p.src, groupStart, adjStart, groupStart-adjStart)
+		p.anchorDist.Observe(groupStart - adjStart)
 	}
 }
 
@@ -234,43 +202,20 @@ func (p *DetectorProbe) PhaseEnd(end, adjStart int64) {
 	if p == nil {
 		return
 	}
-	p.phaseEnds.Inc()
-	p.phaseLength.Observe(float64(end - adjStart))
+	p.phaseLength.Observe(end - adjStart)
 	p.ring.Record(EvPhaseEnd, p.src, end, adjStart, end-adjStart)
 }
 
-// WindowAnchor records the model being asked to re-anchor (and, under an
-// adaptive policy, restructure) its windows at a phase start.
-func (p *DetectorProbe) WindowAnchor(at int64) {
-	if p == nil {
-		return
-	}
-	p.winAnchors.Inc()
-	p.ring.Record(EvWindowResize, p.src, at, 0, 0)
-}
-
-// WindowClear records a window flush at a phase end.
-func (p *DetectorProbe) WindowClear(at int64) {
-	if p == nil {
-		return
-	}
-	p.winClears.Inc()
-	p.ring.Record(EvWindowClear, p.src, at, 0, 0)
-}
-
-// A JITProbe instruments the adaptive optimization manager: guard
-// checks/hits at phase starts, fresh compilations, and specialization
-// volume.
+// A JITProbe instruments the adaptive optimization manager: fresh
+// compilations, guard hits at phase starts, and the number of known
+// behaviours.
 type JITProbe struct {
 	src  string
 	ring *Ring
 
-	compiles    *Counter
-	reuses      *Counter
-	guardChecks *Counter
-	guardHits   *Counter
-	behaviours  *Gauge
-	specialized *Counter
+	compiles   *Counter
+	guardHits  *Counter
+	behaviours *Gauge
 }
 
 // NewJITProbe builds the JIT probe. Returns nil for a nil registry.
@@ -281,23 +226,12 @@ func NewJITProbe(reg *Registry) *JITProbe {
 	reg.Help(MetricJITCompiles, "Fresh compilations (unrecognized phase behaviours).")
 	reg.Help(MetricJITGuardHits, "Phase-start signature guard hits (recognized recurring phases).")
 	return &JITProbe{
-		src:         "jit",
-		ring:        reg.Ring(),
-		compiles:    reg.Counter(MetricJITCompiles),
-		reuses:      reg.Counter(MetricJITReuses),
-		guardChecks: reg.Counter(MetricJITGuardChecks),
-		guardHits:   reg.Counter(MetricJITGuardHits),
-		behaviours:  reg.Gauge(MetricJITBehaviours),
-		specialized: reg.Counter(MetricJITSpecialized),
+		src:        "jit",
+		ring:       reg.Ring(),
+		compiles:   reg.Counter(MetricJITCompiles),
+		guardHits:  reg.Counter(MetricJITGuardHits),
+		behaviours: reg.Gauge(MetricJITBehaviours),
 	}
-}
-
-// GuardCheck records a phase-start recognition attempt.
-func (p *JITProbe) GuardCheck() {
-	if p == nil {
-		return
-	}
-	p.guardChecks.Inc()
 }
 
 // Compile records a fresh compilation decision at stream position at.
@@ -316,18 +250,15 @@ func (p *JITProbe) Reuse(at int64, behaviour int) {
 		return
 	}
 	p.guardHits.Inc()
-	p.reuses.Inc()
 	p.ring.Record(EvJITReuse, p.src, at, int64(behaviour), 0)
 }
 
-// PhaseDone records a finished phase occurrence: its specialized element
-// volume and the current number of known behaviours.
-func (p *JITProbe) PhaseDone(elements int64, behaviours int) {
+// Behaviours records the number of known behaviours after a phase ends.
+func (p *JITProbe) Behaviours(n int) {
 	if p == nil {
 		return
 	}
-	p.specialized.Add(elements)
-	p.behaviours.Set(float64(behaviours))
+	p.behaviours.Set(float64(n))
 }
 
 // A VMProbe instruments one interpreter, labeled by execution mode
@@ -369,13 +300,12 @@ func (p *VMProbe) Flush(steps, branches, calls, loops int64) {
 }
 
 // A SweepProbe instruments the experiment harness's detector sweeps:
-// run counts, per-run wall clock, and aggregate similarity-computation
-// volume.
+// per-run wall clock (whose count is the run count) and aggregate
+// similarity-computation volume.
 type SweepProbe struct {
-	runs       *Counter
 	simComps   *Counter
 	elements   *Counter
-	runSeconds *Histogram
+	runNS      *LatencyHistogram
 	interned   *Counter
 	symbols    *Gauge
 	poolHits   *Counter
@@ -390,17 +320,16 @@ func NewSweepProbe(reg *Registry) *SweepProbe {
 	if reg == nil {
 		return nil
 	}
-	reg.Help(MetricSweepRunSeconds, "Wall-clock seconds of one detector configuration over one trace.")
+	reg.Help(MetricSweepRunNS, "Wall-clock nanoseconds of one detector configuration over one trace; the count is the completed runs.")
 	reg.Help(MetricSweepInterned, "Elements interned into shared dense-ID streams (one hash pass per trace, amortized across every configuration).")
 	reg.Help(MetricSweepPoolHits, "Sweep-pool buffer acquisitions served from a recycled slice.")
 	reg.Help(MetricSweepRunErrors, "Sweep runs that failed (invalid config, or a panic recovered from detector code).")
 	reg.Help(MetricSweepRunPanics, "Sweep runs that panicked in detector/model code (isolated to their Run).")
 	reg.Help(MetricSweepRunsAborted, "Sweep runs abandoned because the sweep's context was cancelled.")
 	return &SweepProbe{
-		runs:       reg.Counter(MetricSweepRuns),
 		simComps:   reg.Counter(MetricSweepSimComps),
 		elements:   reg.Counter(MetricSweepElements),
-		runSeconds: reg.Histogram(MetricSweepRunSeconds, []float64{1e-4, 3e-4, 1e-3, 3e-3, 0.01, 0.03, 0.1, 0.3, 1, 3, 10, 30}),
+		runNS:      reg.Latency(MetricSweepRunNS),
 		interned:   reg.Counter(MetricSweepInterned),
 		symbols:    reg.Gauge(MetricSweepSymbols),
 		poolHits:   reg.Counter(MetricSweepPoolHits),
@@ -412,14 +341,13 @@ func NewSweepProbe(reg *Registry) *SweepProbe {
 }
 
 // Run records one completed detector run.
-func (p *SweepProbe) Run(elapsedSeconds float64, simComps, elements int64) {
+func (p *SweepProbe) Run(elapsed time.Duration, simComps, elements int64) {
 	if p == nil {
 		return
 	}
-	p.runs.Inc()
 	p.simComps.Add(simComps)
 	p.elements.Add(elements)
-	p.runSeconds.Observe(elapsedSeconds)
+	p.runNS.Observe(elapsed.Nanoseconds())
 }
 
 // Interned records one shared interning pass: elements reduced to symbols
@@ -511,7 +439,7 @@ func (p *IngestProbe) Salvaged(elements int64) {
 
 // A ServeProbe instruments the streaming phase-detection server: session
 // lifecycle (opened, active, closed, evicted, failed, rejected) and the
-// ingest path (chunks, chunk decode errors, bytes, elements, phase events
+// ingest path (chunks, chunk decode errors, elements, phase events
 // emitted to clients).
 type ServeProbe struct {
 	opened        *Counter
@@ -522,7 +450,6 @@ type ServeProbe struct {
 	rejected      *Counter
 	chunks        *Counter
 	chunkErr      *Counter
-	bytes         *Counter
 	elements      *Counter
 	events        *Counter
 	eventsDropped *Counter
@@ -557,7 +484,6 @@ func NewServeProbe(reg *Registry) *ServeProbe {
 		rejected:      reg.Counter(MetricServeSessionsRejected),
 		chunks:        reg.Counter(MetricServeChunks),
 		chunkErr:      reg.Counter(MetricServeChunkErrors),
-		bytes:         reg.Counter(MetricServeIngestBytes),
 		elements:      reg.Counter(MetricServeIngestElements),
 		events:        reg.Counter(MetricServeEventsEmitted),
 		eventsDropped: reg.Counter(MetricServeEventsDropped),
@@ -593,15 +519,6 @@ func (p *ServeProbe) SSELag(ns int64) {
 		return
 	}
 	p.sseLag.Observe(ns)
-}
-
-// StageSummary reads one stage histogram's percentile summary — the
-// seam bench reporting uses to build the per-stage breakdown.
-func (p *ServeProbe) StageSummary(st Stage) LatencySummary {
-	if p == nil {
-		return LatencySummary{}
-	}
-	return p.stageLat[st].Summary()
 }
 
 // SessionOpened records one accepted session.
@@ -642,13 +559,12 @@ func (p *ServeProbe) SessionRejected() {
 	p.rejected.Inc()
 }
 
-// Chunk records one accepted element chunk of the given wire size.
-func (p *ServeProbe) Chunk(bytes, elements int64) {
+// Chunk records one accepted chunk of the given number of elements.
+func (p *ServeProbe) Chunk(elements int64) {
 	if p == nil {
 		return
 	}
 	p.chunks.Inc()
-	p.bytes.Add(bytes)
 	p.elements.Add(elements)
 }
 
@@ -840,16 +756,14 @@ func (p *ResilienceProbe) DegradedGone() {
 }
 
 // A DurableProbe instruments the durability layer: write-ahead-log
-// traffic (records, bytes, fsyncs), snapshot churn, and crash-recovery
-// outcomes (boot replays, sessions recovered or dropped, torn WAL tails
-// truncated).
+// traffic (bytes, and append latency, whose count is the records
+// written), fsync latency (whose count is the fsyncs issued), snapshot
+// churn, and crash-recovery outcomes (sessions recovered or dropped,
+// torn WAL tails truncated).
 type DurableProbe struct {
-	walRecords   *Counter
 	walBytes     *Counter
-	fsyncs       *Counter
 	snapshots    *Counter
 	snapErrors   *Counter
-	recoveries   *Counter
 	recovered    *Counter
 	dropped      *Counter
 	tornTruncats *Counter
@@ -866,20 +780,16 @@ func NewDurableProbe(reg *Registry) *DurableProbe {
 		return nil
 	}
 	reg.Help(MetricDurableWALBytes, "Bytes appended to session write-ahead logs (framing included).")
-	reg.Help(MetricDurableFsyncs, "fsync calls issued by the durability layer (WAL segments, snapshots, directories).")
 	reg.Help(MetricDurableSessionsRecovered, "Sessions rebuilt from snapshot+WAL replay at boot.")
 	reg.Help(MetricDurableSessionsDropped, "Persisted sessions that could not be recovered (no valid snapshot).")
 	reg.Help(MetricDurableTornTruncations, "Torn or corrupt WAL tails truncated to the last valid record on open.")
-	reg.Help(MetricDurableAppendLatency, "WAL record write latency in nanoseconds (framing + write, excluding fsync).")
-	reg.Help(MetricDurableFsyncLatency, "fsync latency in nanoseconds (WAL segments, snapshots, directories).")
+	reg.Help(MetricDurableAppendLatency, "WAL record write latency in nanoseconds (framing + write, excluding fsync); the count is the records written.")
+	reg.Help(MetricDurableFsyncLatency, "fsync latency in nanoseconds (WAL segments, snapshots, directories); the count is the fsyncs issued.")
 	reg.Help(MetricDurableSnapshotLatency, "Full session snapshot persist latency in nanoseconds (encode excluded, fsyncs included).")
 	return &DurableProbe{
-		walRecords:   reg.Counter(MetricDurableWALRecords),
 		walBytes:     reg.Counter(MetricDurableWALBytes),
-		fsyncs:       reg.Counter(MetricDurableFsyncs),
 		snapshots:    reg.Counter(MetricDurableSnapshots),
 		snapErrors:   reg.Counter(MetricDurableSnapshotErrors),
-		recoveries:   reg.Counter(MetricDurableRecoveries),
 		recovered:    reg.Counter(MetricDurableSessionsRecovered),
 		dropped:      reg.Counter(MetricDurableSessionsDropped),
 		tornTruncats: reg.Counter(MetricDurableTornTruncations),
@@ -889,50 +799,28 @@ func NewDurableProbe(reg *Registry) *DurableProbe {
 	}
 }
 
-// AppendLatency records one WAL record write's duration (sans fsync).
-func (p *DurableProbe) AppendLatency(ns int64) {
+// Append records one WAL record: its framed size and the write's
+// duration (sans fsync).
+func (p *DurableProbe) Append(bytes, ns int64) {
 	if p == nil {
 		return
 	}
+	p.walBytes.Add(bytes)
 	p.appendLat.Observe(ns)
 }
 
-// FsyncLatency records one fsync's duration.
-func (p *DurableProbe) FsyncLatency(ns int64) {
+// Fsync records one fsync's duration.
+func (p *DurableProbe) Fsync(ns int64) {
 	if p == nil {
 		return
 	}
 	p.fsyncLat.Observe(ns)
 }
 
-// SnapshotLatency records one successful snapshot persist's duration.
-func (p *DurableProbe) SnapshotLatency(ns int64) {
-	if p == nil {
-		return
-	}
-	p.snapLat.Observe(ns)
-}
-
-// Record counts one WAL record of the given framed size.
-func (p *DurableProbe) Record(bytes int64) {
-	if p == nil {
-		return
-	}
-	p.walRecords.Inc()
-	p.walBytes.Add(bytes)
-}
-
-// Fsync counts one fsync issued by the durability layer.
-func (p *DurableProbe) Fsync() {
-	if p == nil {
-		return
-	}
-	p.fsyncs.Inc()
-}
-
-// Snapshot counts one session snapshot written; failed marks attempts
-// that did not become durable (the WAL still covers the state).
-func (p *DurableProbe) Snapshot(failed bool) {
+// Snapshot records one session snapshot persist and its duration; failed
+// marks attempts that did not become durable (the WAL still covers the
+// state), which count as errors and record no latency.
+func (p *DurableProbe) Snapshot(ns int64, failed bool) {
 	if p == nil {
 		return
 	}
@@ -941,14 +829,7 @@ func (p *DurableProbe) Snapshot(failed bool) {
 		return
 	}
 	p.snapshots.Inc()
-}
-
-// Recovery counts one boot-time recovery pass over the data directory.
-func (p *DurableProbe) Recovery() {
-	if p == nil {
-		return
-	}
-	p.recoveries.Inc()
+	p.snapLat.Observe(ns)
 }
 
 // SessionRecovered counts one session rebuilt from snapshot+WAL replay.
@@ -974,41 +855,4 @@ func (p *DurableProbe) TornTruncation() {
 		return
 	}
 	p.tornTruncats.Inc()
-}
-
-// A ModelProbe instruments a custom similarity model from
-// internal/detectors, labeled by model name.
-type ModelProbe struct {
-	windows    *Counter
-	similarity *Histogram
-}
-
-// NewModelProbe builds a model probe labeled {model=name}. Returns nil
-// for a nil registry.
-func NewModelProbe(reg *Registry, name string) *ModelProbe {
-	if reg == nil {
-		return nil
-	}
-	reg.Help(MetricModelSimilarity, "Distribution of similarity values a custom model produced.")
-	l := L("model", name)
-	return &ModelProbe{
-		windows:    reg.Counter(MetricModelWindows, l),
-		similarity: reg.Histogram(MetricModelSimilarity, UnitBuckets(), l),
-	}
-}
-
-// Window records one consumed sample window.
-func (p *ModelProbe) Window() {
-	if p == nil {
-		return
-	}
-	p.windows.Inc()
-}
-
-// Similarity records one produced similarity value.
-func (p *ModelProbe) Similarity(v float64) {
-	if p == nil {
-		return
-	}
-	p.similarity.Observe(v)
 }

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -41,8 +40,18 @@ type entry struct {
 
 	counter *Counter
 	gauge   *Gauge
-	hist    *Histogram
 	lat     *LatencyHistogram
+}
+
+// kind is the entry's Prometheus metric type.
+func (e *entry) kind() string {
+	switch {
+	case e.gauge != nil:
+		return "gauge"
+	case e.lat != nil:
+		return "summary"
+	}
+	return "counter"
 }
 
 // NewRegistry builds an empty registry with a DefaultRingCapacity event
@@ -99,29 +108,12 @@ func (r *Registry) Help(family, text string) {
 	r.mu.Unlock()
 }
 
-func fullName(family string, labels []Label) string {
-	if len(labels) == 0 {
-		return family
-	}
-	var sb strings.Builder
-	sb.WriteString(family)
-	sb.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		fmt.Fprintf(&sb, "%s=%q", l.Key, l.Value)
-	}
-	sb.WriteByte('}')
-	return sb.String()
-}
-
 // lookup returns the entry for family+labels, creating it with mk on
 // first use. It panics if the name is already registered as a different
 // instrument kind (a programming error, like Prometheus client libraries
 // treat it).
 func (r *Registry) lookup(family string, labels []Label, mk func(*entry)) *entry {
-	full := fullName(family, labels)
+	full := family + promLabels(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if e, ok := r.entries[full]; ok {
@@ -160,22 +152,8 @@ func (r *Registry) Gauge(family string, labels ...Label) *Gauge {
 	return e.gauge
 }
 
-// Histogram returns (creating on first use) the histogram with the given
-// family name, bucket bounds, and labels. Nil-registry safe: returns a
-// nil Histogram.
-func (r *Registry) Histogram(family string, bounds []float64, labels ...Label) *Histogram {
-	if r == nil {
-		return nil
-	}
-	e := r.lookup(family, labels, func(e *entry) { e.hist = NewHistogram(bounds) })
-	if e.hist == nil {
-		panic(fmt.Sprintf("telemetry: %s already registered as a non-histogram", e.full))
-	}
-	return e.hist
-}
-
-// Latency returns (creating on first use) the latency histogram with the
-// given family name and labels. Nil-registry safe: returns a nil
+// Latency returns (creating on first use) the histogram with the given
+// family name and labels. Nil-registry safe: returns a nil
 // LatencyHistogram.
 func (r *Registry) Latency(family string, labels ...Label) *LatencyHistogram {
 	if r == nil {
@@ -183,7 +161,7 @@ func (r *Registry) Latency(family string, labels ...Label) *LatencyHistogram {
 	}
 	e := r.lookup(family, labels, func(e *entry) { e.lat = NewLatencyHistogram() })
 	if e.lat == nil {
-		panic(fmt.Sprintf("telemetry: %s already registered as a non-latency-histogram", e.full))
+		panic(fmt.Sprintf("telemetry: %s already registered as a non-histogram", e.full))
 	}
 	return e.lat
 }
@@ -195,20 +173,7 @@ type Point struct {
 	Value  float64           `json:"value"`
 }
 
-// A HistogramPoint is one histogram's state in a snapshot. Bounds are the
-// bucket upper bounds; Cumulative the Prometheus-style running counts
-// (the final entry, for the +Inf bucket, equals Count).
-type HistogramPoint struct {
-	Name       string            `json:"name"`
-	Labels     map[string]string `json:"labels,omitempty"`
-	Count      int64             `json:"count"`
-	Sum        float64           `json:"sum"`
-	Bounds     []float64         `json:"bounds"`
-	Cumulative []int64           `json:"cumulative"`
-}
-
-// A LatencyPoint is one latency histogram's percentile readout in a
-// snapshot.
+// A LatencyPoint is one histogram's percentile readout in a snapshot.
 type LatencyPoint struct {
 	Name   string            `json:"name"`
 	Labels map[string]string `json:"labels,omitempty"`
@@ -227,12 +192,11 @@ type EventPoint struct {
 // snapshot is not a cross-metric transaction, which observability reads
 // do not need.
 type Snapshot struct {
-	Counters    []Point          `json:"counters"`
-	Gauges      []Point          `json:"gauges"`
-	Histograms  []HistogramPoint `json:"histograms"`
-	Latencies   []LatencyPoint   `json:"latencies,omitempty"`
-	Events      []EventPoint     `json:"events"`
-	EventsTotal uint64           `json:"events_total"`
+	Counters    []Point        `json:"counters"`
+	Gauges      []Point        `json:"gauges"`
+	Latencies   []LatencyPoint `json:"latencies,omitempty"`
+	Events      []EventPoint   `json:"events"`
+	EventsTotal uint64         `json:"events_total"`
 }
 
 func labelMap(labels []Label) map[string]string {
@@ -263,12 +227,6 @@ func (r *Registry) Snapshot() Snapshot {
 			s.Counters = append(s.Counters, Point{Name: e.family, Labels: labelMap(e.labels), Value: float64(e.counter.Value())})
 		case e.gauge != nil:
 			s.Gauges = append(s.Gauges, Point{Name: e.family, Labels: labelMap(e.labels), Value: e.gauge.Value()})
-		case e.hist != nil:
-			bounds, cum, count, sum := e.hist.snapshot()
-			s.Histograms = append(s.Histograms, HistogramPoint{
-				Name: e.family, Labels: labelMap(e.labels),
-				Count: count, Sum: sum, Bounds: bounds, Cumulative: cum,
-			})
 		case e.lat != nil:
 			s.Latencies = append(s.Latencies, LatencyPoint{
 				Name: e.family, Labels: labelMap(e.labels),

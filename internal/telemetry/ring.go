@@ -10,25 +10,16 @@ type EventKind uint8
 
 const (
 	// EvPhaseStart marks a detector entering a phase. At is the group
-	// start; V1 is the anchor-corrected start.
+	// start; V1 is the anchor-corrected start, which is below At when
+	// the model moved the start back to its anchor.
 	EvPhaseStart EventKind = iota
 	// EvPhaseEnd marks a detector leaving a phase. At is the phase end;
 	// V1 is the anchor-corrected start, V2 the phase length in elements.
 	EvPhaseEnd
-	// EvAnchorAdjust records an anchor adjustment at phase start. At is
-	// the group start; V1 is the anchor position, V2 the distance the
-	// start moved back.
-	EvAnchorAdjust
 	// EvStateFlip records an analyzer state change. At is the stream
 	// position; V1 is the new state (0 = T, 1 = P), V2 the dwell length
 	// of the state just left.
 	EvStateFlip
-	// EvWindowResize records an adaptive-TW restructure at phase start.
-	// At is the stream position.
-	EvWindowResize
-	// EvWindowClear records a window flush at phase end. At is the
-	// stream position.
-	EvWindowClear
 	// EvJITCompile records a fresh compilation. V1 is the behaviour ID
 	// (-1 while unassigned).
 	EvJITCompile
@@ -44,14 +35,8 @@ func (k EventKind) String() string {
 		return "phase_start"
 	case EvPhaseEnd:
 		return "phase_end"
-	case EvAnchorAdjust:
-		return "anchor_adjust"
 	case EvStateFlip:
 		return "state_flip"
-	case EvWindowResize:
-		return "window_resize"
-	case EvWindowClear:
-		return "window_clear"
 	case EvJITCompile:
 		return "jit_compile"
 	case EvJITReuse:
@@ -73,9 +58,6 @@ type Event struct {
 	V1 int64 `json:"v1"`
 	V2 int64 `json:"v2"`
 }
-
-// KindName is the JSON-facing name of the event's kind.
-func (e Event) KindName() string { return e.Kind.String() }
 
 // A Ring is a bounded event trace: the most recent capacity events, in
 // order. Appends are mutex-guarded — lifecycle events are orders of

@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounter(t *testing.T) {
@@ -39,43 +39,6 @@ func TestGauge(t *testing.T) {
 	nilG.Add(9)
 	if got := nilG.Value(); got != 0 {
 		t.Errorf("nil gauge = %g, want 0", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{1, 10, 100})
-	for _, v := range []float64{0.5, 1, 5, 50, 500} {
-		h.Observe(v)
-	}
-	if got := h.Count(); got != 5 {
-		t.Errorf("count = %d, want 5", got)
-	}
-	if got := h.Sum(); got != 556.5 {
-		t.Errorf("sum = %g, want 556.5", got)
-	}
-	if got, want := h.Mean(), 556.5/5; math.Abs(got-want) > 1e-12 {
-		t.Errorf("mean = %g, want %g", got, want)
-	}
-	bounds, cum, count, _ := h.snapshot()
-	if len(bounds) != 3 || len(cum) != 4 {
-		t.Fatalf("snapshot shapes: bounds %d, cumulative %d", len(bounds), len(cum))
-	}
-	// Cumulative Prometheus semantics: <=1: 2 (0.5 and 1), <=10: 3,
-	// <=100: 4, +Inf: 5.
-	want := []int64{2, 3, 4, 5}
-	for i := range want {
-		if cum[i] != want[i] {
-			t.Errorf("cumulative[%d] = %d, want %d", i, cum[i], want[i])
-		}
-	}
-	if count != 5 {
-		t.Errorf("snapshot count = %d, want 5", count)
-	}
-
-	var nilH *Histogram
-	nilH.Observe(1)
-	if nilH.Count() != 0 || nilH.Sum() != 0 || nilH.Mean() != 0 {
-		t.Error("nil histogram should read as empty")
 	}
 }
 
@@ -118,8 +81,7 @@ func TestRingRejectsNonPositiveCapacity(t *testing.T) {
 }
 
 func TestEventKindNames(t *testing.T) {
-	kinds := []EventKind{EvPhaseStart, EvPhaseEnd, EvAnchorAdjust, EvStateFlip,
-		EvWindowResize, EvWindowClear, EvJITCompile, EvJITReuse}
+	kinds := []EventKind{EvPhaseStart, EvPhaseEnd, EvStateFlip, EvJITCompile, EvJITReuse}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		name := k.String()
@@ -167,14 +129,14 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 func TestNilRegistryIsInert(t *testing.T) {
 	var reg *Registry
 	reg.Help("x", "y")
-	if reg.Counter("c") != nil || reg.Gauge("g") != nil || reg.Histogram("h", nil) != nil {
+	if reg.Counter("c") != nil || reg.Gauge("g") != nil || reg.Latency("h") != nil {
 		t.Error("nil registry should hand out nil instruments")
 	}
 	if reg.Ring() != nil {
 		t.Error("nil registry should have a nil ring")
 	}
 	s := reg.Snapshot()
-	if len(s.Counters)+len(s.Gauges)+len(s.Histograms)+len(s.Events) != 0 {
+	if len(s.Counters)+len(s.Gauges)+len(s.Latencies)+len(s.Events) != 0 {
 		t.Error("nil registry snapshot should be empty")
 	}
 	var buf bytes.Buffer
@@ -185,8 +147,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 		t.Errorf("nil registry report: %v", err)
 	}
 	if NewDetectorProbe(reg, "d") != nil || NewJITProbe(reg) != nil ||
-		NewVMProbe(reg, "interpreted") != nil || NewSweepProbe(reg) != nil ||
-		NewModelProbe(reg, "m") != nil {
+		NewVMProbe(reg, "interpreted") != nil || NewSweepProbe(reg) != nil {
 		t.Error("probe constructors should return nil for a nil registry")
 	}
 }
@@ -194,25 +155,23 @@ func TestNilRegistryIsInert(t *testing.T) {
 func TestNilProbesAreNoOps(t *testing.T) {
 	var d *DetectorProbe
 	d.Group(10)
-	d.Similarity(0.5, 100)
+	d.Similarity(0.5)
 	d.StateFlip(true, 1, 1)
 	d.EndOfStream(false, 1)
 	d.PhaseStart(10, 5)
 	d.PhaseEnd(20, 5)
-	d.WindowAnchor(1)
-	d.WindowClear(1)
 	var j *JITProbe
-	j.GuardCheck()
 	j.Compile(1)
 	j.Reuse(1, 0)
-	j.PhaseDone(10, 1)
+	j.Behaviours(1)
 	var v *VMProbe
 	v.Flush(1, 1, 1, 1)
 	var s *SweepProbe
-	s.Run(0.1, 10, 100)
-	var m *ModelProbe
-	m.Window()
-	m.Similarity(0.5)
+	s.Run(time.Millisecond, 10, 100)
+	var du *DurableProbe
+	du.Append(64, 100)
+	du.Fsync(100)
+	du.Snapshot(100, false)
 }
 
 func TestDetectorProbeRecords(t *testing.T) {
@@ -220,23 +179,32 @@ func TestDetectorProbeRecords(t *testing.T) {
 	p := NewDetectorProbe(reg, "det1")
 	p.Group(100)
 	p.Group(100)
-	p.Similarity(0.7, 250)
+	p.Similarity(0.7)
+	p.Similarity(-0.3)           // a negative correlation records as 0
 	p.StateFlip(true, 200, 200)  // T -> P
 	p.PhaseStart(200, 150)       // anchor moved back 50
 	p.StateFlip(false, 900, 700) // P -> T
 	p.PhaseEnd(900, 150)
-	p.WindowClear(900)
 
-	if got := reg.Counter(MetricDetectorElements, L("detector", "det1")).Value(); got != 200 {
+	l := L("detector", "det1")
+	if got := reg.Counter(MetricDetectorElements, l).Value(); got != 200 {
 		t.Errorf("elements = %d, want 200", got)
 	}
-	if got := reg.Counter(MetricDetectorSimComps, L("detector", "det1")).Value(); got != 1 {
-		t.Errorf("sim comps = %d, want 1", got)
+	if s, f := reg.Counter(MetricDetectorPhaseStarts, l).Value(), reg.Counter(MetricDetectorStateFlips, l).Value(); s != 1 || f != 2 {
+		t.Errorf("phases started = %d, state flips = %d, want 1, 2", s, f)
 	}
-	if got := reg.Counter(MetricDetectorAnchorMoves, L("detector", "det1")).Value(); got != 1 {
-		t.Errorf("anchor moves = %d, want 1", got)
+	sim := reg.Latency(MetricDetectorSimilarity, l)
+	if sim.Count() != 2 || sim.Sum() != 700000 || sim.Max() != 700000 || sim.Quantile(0.5) != 0 {
+		t.Errorf("similarity ppm: count=%d sum=%d max=%d p50=%d, want 2, 700000, 700000, 0",
+			sim.Count(), sim.Sum(), sim.Max(), sim.Quantile(0.5))
 	}
-	dwellT := reg.Histogram(MetricDetectorStateDwell, ElementBuckets(), L("detector", "det1"), L("state", "T"))
+	if got := reg.Latency(MetricDetectorAnchorDist, l).Summary(); got.Count != 1 || got.Max != 50 {
+		t.Errorf("anchor adjustments: count=%d max=%d, want 1, 50", got.Count, got.Max)
+	}
+	if got := reg.Latency(MetricDetectorPhaseLength, l).Summary(); got.Count != 1 || got.Max != 750 {
+		t.Errorf("phase lengths: count=%d max=%d, want 1, 750", got.Count, got.Max)
+	}
+	dwellT := reg.Latency(MetricDetectorStateDwell, l, L("state", "T"))
 	if got := dwellT.Count(); got != 1 {
 		t.Errorf("T dwell observations = %d, want 1", got)
 	}
@@ -247,10 +215,7 @@ func TestDetectorProbeRecords(t *testing.T) {
 		}
 		kinds[e.Kind]++
 	}
-	want := map[EventKind]int{
-		EvStateFlip: 2, EvPhaseStart: 1, EvAnchorAdjust: 1,
-		EvPhaseEnd: 1, EvWindowClear: 1,
-	}
+	want := map[EventKind]int{EvStateFlip: 2, EvPhaseStart: 1, EvPhaseEnd: 1}
 	for k, n := range want {
 		if kinds[k] != n {
 			t.Errorf("%v events = %d, want %d", k, kinds[k], n)
@@ -263,7 +228,7 @@ func TestWritePrometheus(t *testing.T) {
 	reg.Help("opd_test_total", "A test counter.")
 	reg.Counter("opd_test_total", L("detector", "d1")).Add(3)
 	reg.Gauge("opd_test_gauge").Set(0.25)
-	reg.Histogram("opd_test_hist", []float64{1, 10}).Observe(5)
+	reg.Latency("opd_test_ns", L("stage", "x")).Observe(5)
 
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
@@ -276,16 +241,18 @@ func TestWritePrometheus(t *testing.T) {
 		`opd_test_total{detector="d1"} 3`,
 		"# TYPE opd_test_gauge gauge",
 		"opd_test_gauge 0.25",
-		"# TYPE opd_test_hist histogram",
-		`opd_test_hist_bucket{le="1"} 0`,
-		`opd_test_hist_bucket{le="10"} 1`,
-		`opd_test_hist_bucket{le="+Inf"} 1`,
-		"opd_test_hist_sum 5",
-		"opd_test_hist_count 1",
+		"# TYPE opd_test_ns summary",
+		`opd_test_ns{stage="x",quantile="0.5"} 5`,
+		`opd_test_ns{stage="x",quantile="1"} 5`,
+		`opd_test_ns_sum{stage="x"} 5`,
+		`opd_test_ns_count{stage="x"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Prometheus output missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, " histogram\n") || strings.Contains(out, "_bucket") {
+		t.Errorf("Prometheus output has a histogram family:\n%s", out)
 	}
 }
 
@@ -326,14 +293,14 @@ func TestWriteJSONSnapshot(t *testing.T) {
 func TestWriteReport(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("opd_test_total").Add(2)
-	reg.Histogram("opd_test_hist", []float64{1}).Observe(3)
+	reg.Latency("opd_test_ns").Observe(3)
 	reg.Ring().Record(EvJITCompile, "jit", 100, -1, 0)
 	var buf bytes.Buffer
 	if err := reg.WriteReport(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"opd_test_total", "count=1", "jit_compile", "at=100"} {
+	for _, want := range []string{"opd_test_total", "opd_test_ns", "count=1 p50=3", "jit_compile", "at=100"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
@@ -419,7 +386,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				reg.Counter("opd_race_total", L("detector", id)).Inc()
 				reg.Gauge("opd_race_gauge", L("detector", id)).Set(float64(i))
-				reg.Histogram("opd_race_hist", UnitBuckets(), L("detector", id)).Observe(0.5)
+				reg.Latency("opd_race_ns", L("detector", id)).Observe(int64(i))
 				reg.Ring().Record(EvStateFlip, id, int64(i), 0, 0)
 				if i%100 == 0 {
 					_ = reg.Snapshot()
