@@ -30,7 +30,9 @@ check:
 # fuzz-smoke runs each fuzz target briefly (the Go fuzzer accepts one
 # -fuzz pattern per invocation, hence one run per target): the trace
 # readers and frame decoder, the detector snapshot decoder, WAL replay,
-# the stream handshake, and adoption of migration blobs. The seed
+# the stream handshake, the session's one ingest method (record
+# sequences on a durable session, then crash recovery), and adoption of
+# migration blobs. The seed
 # corpora under */testdata/fuzz run on every plain `go test` as well.
 # FuzzAdopt's seeds are whole migration blobs of several KB, and the
 # fuzzer's default 60s budget for minimizing each new input would use up
@@ -42,6 +44,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDetectorRestore -fuzztime=5s ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzWALReplay -fuzztime=5s ./internal/durable
 	$(GO) test -run=NONE -fuzz=FuzzStreamHandshake -fuzztime=5s ./internal/serve
+	$(GO) test -run=NONE -fuzz=FuzzIngest -fuzztime=5s ./internal/serve
 	$(GO) test -run=NONE -fuzz=FuzzAdopt -fuzztime=5s -fuzzminimizetime=1s ./internal/serve
 
 # soak-smoke is a ~20s slice of the chaos soak under the race detector:

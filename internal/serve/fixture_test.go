@@ -86,9 +86,8 @@ func TestParentWrittenMigrationBlobsAdopt(t *testing.T) {
 		}
 		for i := fed; i < len(tr); i += fixtureChunk {
 			elems := tr[i:min(i+fixtureChunk, len(tr))]
-			var ct telemetry.ChunkTrace
 			if mode == "branch" {
-				if err := s.FeedWireTraced(0, trace.AppendBranches(nil, elems), elems, &ct); err != nil {
+				if err := ingestOne(s, trace.FrameData, trace.AppendBranches(nil, elems)); err != nil {
 					t.Fatalf("branch: feed at %d: %v", i, err)
 				}
 				continue
@@ -99,12 +98,11 @@ func TestParentWrittenMigrationBlobsAdopt(t *testing.T) {
 				ids = append(ids, b.Intern(e))
 			}
 			if syms := b.Symbols()[start:]; len(syms) > 0 {
-				payload := trace.AppendSymsPayload(nil, uint64(start), syms)
-				if err := s.ExtendSymbols(0, payload, uint64(start), syms); err != nil {
+				if err := ingestOne(s, trace.FrameSyms, trace.AppendSymsPayload(nil, uint64(start), syms)); err != nil {
 					t.Fatalf("ids: extend at %d: %v", i, err)
 				}
 			}
-			if err := s.FeedIDsTraced(0, trace.AppendIDsPayload(nil, ids), ids, &ct); err != nil {
+			if err := ingestOne(s, trace.FrameIDs, trace.AppendIDsPayload(nil, ids)); err != nil {
 				t.Fatalf("ids: feed at %d: %v", i, err)
 			}
 		}

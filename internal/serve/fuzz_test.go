@@ -2,15 +2,19 @@ package serve
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"math"
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
+	"opd/internal/core"
+	"opd/internal/durable"
 	"opd/internal/trace"
 )
 
@@ -143,6 +147,133 @@ func FuzzAdopt(f *testing.F) {
 		if m.Len() != n || m.MemUsed() != used {
 			t.Fatalf("adopt (err %v) then close moved the counts: sessions %d -> %d, accounted bytes %d -> %d",
 				err, n, m.Len(), used, m.MemUsed())
+		}
+	})
+}
+
+// ingestKinds maps FuzzIngest's kind byte (mod 3) to a record kind.
+var ingestKinds = [3]trace.FrameType{trace.FrameData, trace.FrameIDs, trace.FrameSyms}
+
+// fuzzRecord encodes one FuzzIngest record: the kind byte, a u16le
+// payload length, the payload.
+func fuzzRecord(kind byte, payload []byte) []byte {
+	rec := binary.LittleEndian.AppendUint16([]byte{kind}, uint16(len(payload)))
+	return append(rec, payload...)
+}
+
+// ingestState is what a refused record must leave untouched.
+type ingestState struct {
+	applied  uint64
+	consumed int64
+	symbols  int
+	walNext  uint64
+	memUsed  int64
+}
+
+func readIngestState(m *Manager, s *Session) ingestState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return ingestState{s.applied, s.det.Consumed(), len(s.det.Symbols()), s.log.NextIndex(), m.MemUsed()}
+}
+
+// FuzzIngest feeds one durable session a fuzzed sequence of records
+// through Session.ingest, the path every POST body, stream frame and
+// replayed WAL record takes. The first input byte's low bit latches the
+// session into dense-ID mode; the rest is a sequence of records, each a
+// kind byte (data, IDs or syms, mod 3), a u16le length and that many
+// payload bytes (fewer when the input runs out). Ingest must never
+// panic. A refused record must leave the resume cursor, the consumed
+// count, the symbol table, the WAL's next index and the byte accountant
+// where they were, which pins decoding and checking before the WAL
+// append. Abandoning the manager and recovering it must then rebuild the
+// live session's consumed count, cursor, event log and table.
+func FuzzIngest(f *testing.F) {
+	tr := phasedTrace(120)
+	f.Add(append([]byte{0}, fuzzRecord(0, trace.AppendBranches(nil, tr))...))
+	b := trace.NewInternedBuilder(0)
+	ids := make([]int32, 0, len(tr))
+	for _, e := range tr {
+		ids = append(ids, b.Intern(e))
+	}
+	f.Add(slices.Concat([]byte{1},
+		fuzzRecord(2, trace.AppendSymsPayload(nil, 0, b.Symbols())),
+		fuzzRecord(1, trace.AppendIDsPayload(nil, ids))))
+	// A branch chunk with bytes after its last element, then an intact one.
+	f.Add(slices.Concat([]byte{0},
+		fuzzRecord(0, append(trace.AppendBranches(nil, tr[:60]), 0x02, 0x04)),
+		fuzzRecord(0, trace.AppendBranches(nil, tr[60:]))))
+
+	cfg := core.Config{CWSize: 16, SkipFactor: 1, TW: core.ConstantTW,
+		Model: core.UnweightedModel, Analyzer: core.ThresholdAnalyzer, Param: 0.6}
+	// The janitor and watchdog stay out of the way so nothing but ingest
+	// moves the session.
+	opts := Options{IdleTimeout: -1, MaxAge: -1, SweepInterval: time.Hour,
+		WatchdogDeadline: -1, SnapshotEvery: 3}
+	manager := func(t *testing.T, dir string) *Manager {
+		store, err := durable.Open(durable.Options{Dir: dir, Policy: durable.SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := opts
+		o.Store = store
+		return NewManager(o)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		dir := t.TempDir()
+		m := manager(t, dir)
+		s, err := m.Open(cfg)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		if data[0]&1 == 1 {
+			if _, err := s.StreamHello(true); err != nil {
+				t.Fatalf("hello: %v", err)
+			}
+		}
+		var sc ingestScratch
+		for rest := data[1:]; len(rest) >= 3; {
+			kind := ingestKinds[rest[0]%3]
+			n := min(int(binary.LittleEndian.Uint16(rest[1:])), len(rest)-3)
+			payload := rest[3 : 3+n]
+			rest = rest[3+n:]
+			before := readIngestState(m, s)
+			if err := s.ingest(0, kind, payload, &sc, nil); err != nil {
+				if after := readIngestState(m, s); after != before {
+					t.Fatalf("refused %s record (%v) moved the session: %+v -> %+v", kind, err, before, after)
+				}
+			}
+		}
+		live := readIngestState(m, s)
+		liveEvents, _, _ := s.EventsSince(0)
+		liveTable := slices.Clone(s.det.Symbols())
+		abandon(m)
+		// Release the abandoned log's file handle: its bytes already
+		// reached the OS, which is all a kill -9 would leave.
+		_ = s.log.Close()
+
+		m2 := manager(t, dir)
+		defer m2.Shutdown()
+		if recovered, dropped, err := m2.Recover(); err != nil || recovered != 1 || dropped != 0 {
+			t.Fatalf("recover: recovered %d dropped %d err %v", recovered, dropped, err)
+		}
+		r, ok := m2.Get(s.ID())
+		if !ok {
+			t.Fatal("session not recovered")
+		}
+		got := readIngestState(m2, r)
+		if got.applied != live.applied || got.consumed != live.consumed {
+			t.Fatalf("recovered cursor %d consumed %d, live %d and %d",
+				got.applied, got.consumed, live.applied, live.consumed)
+		}
+		if evs, _, _ := r.EventsSince(0); !equalEvents(evs, liveEvents) {
+			t.Fatalf("recovered events diverge:\n got %v\nlive %v", evs, liveEvents)
+		}
+		if !slices.Equal(r.det.Symbols(), liveTable) {
+			t.Fatalf("recovered table of %d symbols, live %d", len(r.det.Symbols()), len(liveTable))
 		}
 	})
 }

@@ -12,6 +12,7 @@ import (
 
 	"opd/internal/core"
 	"opd/internal/telemetry"
+	"opd/internal/trace"
 )
 
 // ---- HTTP helpers for the migration endpoints ----
@@ -395,7 +396,7 @@ func trailingBytesBlob(t testing.TB) (bad, good []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, second := encodeChunk(tr[1000:1300]), encodeChunk(tr[1300:1600])
+	first, second := trace.AppendBranches(nil, tr[1000:1300]), trace.AppendBranches(nil, tr[1300:1600])
 	damaged := append(append([]byte(nil), second...), 0x02, 0x04)
 	return migrationBlob(snapshot, first, damaged), migrationBlob(snapshot, first, second)
 }
@@ -441,8 +442,8 @@ func TestReplayAcceptsWhatIngestAccepts(t *testing.T) {
 	if err := s1.Feed(tr[:1000]); err != nil {
 		t.Fatal(err)
 	}
-	damaged := append(encodeChunk(tr[1000:1300]), 0x02, 0x04)
-	for _, rec := range [][]byte{damaged, encodeChunk(tr[1300:1600])} {
+	damaged := append(trace.AppendBranches(nil, tr[1000:1300]), 0x02, 0x04)
+	for _, rec := range [][]byte{damaged, trace.AppendBranches(nil, tr[1300:1600])} {
 		if _, err := s1.log.Append(rec); err != nil {
 			t.Fatal(err)
 		}

@@ -6,11 +6,14 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 
+	"opd/internal/durable"
 	"opd/internal/telemetry"
+	"opd/internal/trace"
 )
 
 // syncBuffer is a goroutine-safe log sink for capturing slog output.
@@ -76,6 +79,143 @@ func TestStageMetricsExposed(t *testing.T) {
 	}
 	if got := reg.Latency(telemetry.MetricServeChunkLatency).Count(); got != wantChunks {
 		t.Errorf("chunk latency count = %d, want %d", got, wantChunks)
+	}
+}
+
+// TestStreamChunkCounters pins what the chunk counters and the flight
+// recorder see on the framed stream path, which bench/ and loadgen read:
+// over a durable dense-ID stream, each IDs frame — applied or
+// decode-rejected — leaves one flight trace with contiguous Seq, the
+// latency histograms and the elements counter see the applied chunks
+// only, and syms frames leave no trace at all. WAL replay adds nothing:
+// a session recovered on a fresh registry starts every count at zero
+// with the live session's consumed count.
+func TestStreamChunkCounters(t *testing.T) {
+	const n = 12
+	dir := t.TempDir()
+	reg := telemetry.NewRegistry()
+	store, err := durable.Open(durable.Options{Dir: dir, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(Options{Store: store, Registry: reg, FlightChunks: 2 * n})
+	if _, _, err := srv.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	c := &client{t: t, base: ts.URL, http: ts.Client()}
+	id, status := c.open(ConfigRequest{CW: 300})
+	if status != http.StatusCreated {
+		t.Fatalf("open: status %d", status)
+	}
+	conn, fr := rawStreamHello(t, streamAddr(c), id, `{"mode":"ids","no_events":true}`)
+	defer conn.Close()
+
+	// n IDs chunks, each preceded by a syms frame when it brings new
+	// symbols, with one undecodable IDs frame (width 3) in the middle.
+	b := trace.NewInternedBuilder(0)
+	var frames []byte
+	var sizes []int64
+	symsFrames := 0
+	for i, chunk := range chunks(phasedTrace(n*500), []int{500}) {
+		start := b.Cardinality()
+		ids := make([]int32, 0, len(chunk))
+		for _, e := range chunk {
+			ids = append(ids, b.Intern(e))
+		}
+		if syms := b.Symbols()[start:]; len(syms) > 0 {
+			frames = trace.AppendFrame(frames, trace.FrameSyms, trace.AppendSymsPayload(nil, uint64(start), syms))
+			symsFrames++
+		}
+		frames = trace.AppendFrame(frames, trace.FrameIDs, trace.AppendIDsPayload(nil, ids))
+		sizes = append(sizes, int64(len(ids)))
+		if i == n/2 {
+			frames = trace.AppendFrame(frames, trace.FrameIDs, []byte{3, 1, 0, 0, 0})
+			sizes = append(sizes, 0)
+		}
+	}
+	if symsFrames < 2 {
+		t.Fatalf("workload sends %d syms frames, want at least 2", symsFrames)
+	}
+	frames = trace.AppendFrame(frames, trace.FrameEnd, []byte{0})
+	if _, err := conn.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	for errs := 0; ; {
+		typ, payload := nextDataPlane(t, fr)
+		if typ == trace.FrameDone {
+			if errs != 1 {
+				t.Fatalf("%d err frames, want 1 for the corrupt chunk", errs)
+			}
+			break
+		}
+		if typ == trace.FrameErr {
+			if retryable, msg := parseErrPayload(payload); !retryable {
+				t.Fatalf("fatal stream error %q", msg)
+			}
+			errs++
+		}
+	}
+
+	sess, ok := srv.manager.Get(id)
+	if !ok {
+		t.Fatal("session gone after detach")
+	}
+	traces, total := sess.Flight()
+	if total != n+1 || len(traces) != n+1 {
+		t.Fatalf("flight total %d (%d retained), want %d", total, len(traces), n+1)
+	}
+	var elements int64
+	for i, ct := range traces {
+		if ct.Seq != int64(i+1) {
+			t.Errorf("trace %d has seq %d, want %d", i, ct.Seq, i+1)
+		}
+		if ct.Elements != sizes[i] || (ct.Err != "") != (sizes[i] == 0) {
+			t.Errorf("trace %d: %d elements, err %q; want %d elements", i, ct.Elements, ct.Err, sizes[i])
+		}
+		elements += sizes[i]
+	}
+	for _, stage := range []string{"read", "decode", "detect"} {
+		if got := reg.Latency(telemetry.MetricServeStageLatency, telemetry.L("stage", stage)).Count(); got != n {
+			t.Errorf("stage %s count = %d, want %d", stage, got, n)
+		}
+	}
+	if got := reg.Latency(telemetry.MetricServeChunkLatency).Count(); got != n {
+		t.Errorf("chunk latency count = %d, want %d", got, n)
+	}
+	if got := reg.Counter(telemetry.MetricServeIngestElements).Value(); got != elements {
+		t.Errorf("ingest elements = %d, want %d", got, elements)
+	}
+	if got := reg.Counter(telemetry.MetricServeChunkErrors).Value(); got != 1 {
+		t.Errorf("chunk errors = %d, want 1", got)
+	}
+	consumed := sess.Summary().Consumed
+
+	// Crash and recover on a fresh registry: replay counts nothing.
+	conn.Close()
+	ts.Close()
+	abandon(srv.manager)
+	reg2 := telemetry.NewRegistry()
+	m2 := durableManager(t, dir, Options{Registry: reg2})
+	defer m2.Shutdown()
+	if recovered, dropped, err := m2.Recover(); err != nil || recovered != 1 || dropped != 0 {
+		t.Fatalf("recover: recovered %d dropped %d err %v", recovered, dropped, err)
+	}
+	r, ok := m2.Get(id)
+	if !ok {
+		t.Fatal("session not recovered")
+	}
+	if _, total := r.Flight(); total != 0 {
+		t.Errorf("recovered flight total %d, want 0", total)
+	}
+	if got := reg2.Latency(telemetry.MetricServeChunkLatency).Count(); got != 0 {
+		t.Errorf("recovered chunk latency count %d, want 0", got)
+	}
+	if got := reg2.Counter(telemetry.MetricServeIngestElements).Value(); got != 0 {
+		t.Errorf("recovered ingest elements %d, want 0", got)
+	}
+	if got := r.Summary().Consumed; got != consumed {
+		t.Errorf("recovered consumed %d, live %d", got, consumed)
 	}
 }
 

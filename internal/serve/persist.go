@@ -60,6 +60,18 @@ var (
 	walPrefixIDs  = []byte{walRecIDs}
 )
 
+// walPrefix is an ingest record kind's WAL record-type prefix: none for a
+// branch chunk, whose OPDBRNC1 magic identifies it.
+func walPrefix(kind trace.FrameType) []byte {
+	switch kind {
+	case trace.FrameSyms:
+		return walPrefixSyms
+	case trace.FrameIDs:
+		return walPrefixIDs
+	}
+	return nil
+}
+
 // encodeSnapshotLocked serializes the session's durable state. Callers
 // hold s.mu.
 func (s *Session) encodeSnapshotLocked() ([]byte, error) {
@@ -180,20 +192,37 @@ func decodeSessionSnapshot(data []byte) (restoredSnapshot, error) {
 	return rs, nil
 }
 
-// replayWAL replays WAL records into a freshly restored session,
-// dispatching on the record-type byte: symbol extensions and dense-ID
-// chunks rebuild an ID-mode session's table and stream, and raw branch
-// chunks go through ProcessBatch, which re-interns them to the IDs they
-// had. Records decode in memory with ingest's own decoders, into buffers
-// reused from record to record, so replay accepts exactly the records
-// ingest accepts. keepPrefix selects boot recovery's policy: replay
-// stops without error at the first record that does not decode (the
-// durable prefix ends there) or that re-poisons the session. Otherwise
+// replayWAL replays WAL records into a freshly restored session through
+// ingest, the path every live record took: the record-type byte names
+// the record's kind, and the payload behind it decodes with ingest's own
+// decoders into one scratch reused from record to record, so replay
+// accepts exactly the records ingest accepts. Raw branch chunks go
+// through ProcessBatch, which re-interns them to the IDs they had;
+// symbol extensions and dense-ID chunks rebuild an ID-mode session's
+// table and stream. Replay runs before restore attaches the log, so it
+// appends nothing. keepPrefix selects boot recovery's policy: replay
+// stops without error at the first record ingest refuses (the durable
+// prefix ends there) or that re-poisons the session. Otherwise
 // (adoption) that record fails the replay.
 func (s *Session) replayWAL(records [][]byte, keepPrefix bool) error {
-	var bufs replayBufs
-	for i, payload := range records {
-		if err := s.replayRecord(payload, &bufs); err != nil {
+	var sc ingestScratch
+	for i, rec := range records {
+		kind, payload := trace.FrameData, rec
+		if len(rec) > 0 {
+			switch rec[0] {
+			case walRecSyms:
+				kind, payload = trace.FrameSyms, rec[1:]
+			case walRecIDs:
+				kind, payload = trace.FrameIDs, rec[1:]
+			}
+		}
+		if kind != trace.FrameData {
+			// Symbol and ID records only ever come from an ID-mode
+			// session, so the mode re-latches here when the snapshot
+			// predates the latch (the latch is not a WAL record).
+			s.mode = modeIDs
+		}
+		if err := s.ingest(0, kind, payload, &sc, nil); err != nil {
 			if keepPrefix {
 				return nil
 			}
@@ -201,48 +230,4 @@ func (s *Session) replayWAL(records [][]byte, keepPrefix bool) error {
 		}
 	}
 	return nil
-}
-
-// replayBufs are the decode buffers one replay reuses across records.
-// The detector keeps nothing of a chunk it consumed, so each record may
-// overwrite the last one's.
-type replayBufs struct {
-	elems trace.Trace
-	ids   []int32
-}
-
-// replayRecord applies one WAL record.
-func (s *Session) replayRecord(payload []byte, bufs *replayBufs) error {
-	if len(payload) == 0 {
-		return errors.New("empty WAL record")
-	}
-	switch payload[0] {
-	case walRecSyms:
-		start, syms, err := trace.DecodeSymsPayload(nil, payload[1:])
-		if err != nil {
-			return err
-		}
-		return s.replaySyms(start, syms)
-	case walRecIDs:
-		ids, err := trace.DecodeIDsPayload(bufs.ids[:0], payload[1:], s.SymbolCount())
-		bufs.ids = ids
-		if err != nil {
-			return err
-		}
-		return s.replayIDs(ids)
-	default:
-		elems, err := trace.DecodeBranchesLenient(bufs.elems[:0], payload)
-		bufs.elems = elems
-		if err != nil {
-			return err
-		}
-		return s.replay(elems)
-	}
-}
-
-// encodeChunk serializes one decoded chunk as a WAL record payload: the
-// standard self-contained OPDBRNC1 stream, so replay uses the same
-// strict reader as everything else.
-func encodeChunk(elems []trace.Branch) []byte {
-	return trace.AppendBranches(make([]byte, 0, len(elems)*2+16), elems)
 }

@@ -270,13 +270,16 @@ func stallSeam(gate <-chan struct{}) func(core.Config) (*core.Detector, error) {
 
 // TestWatchdogCondemnsStuckSession pins the watchdog: a session whose
 // detect stage overruns the deadline is condemned — new work against it
-// fast-fails without queueing on the stuck mutex, and the session
-// transitions to failed once the stuck apply returns.
+// fast-fails without queueing on the stuck mutex, on every wire entry
+// (a valid or a corrupt one-shot chunk answers 500, a stream handshake in
+// either mode a fatal FrameErr), and the session transitions to failed
+// once the stuck apply returns.
 func TestWatchdogCondemnsStuckSession(t *testing.T) {
 	gate := make(chan struct{})
 	reg := telemetry.NewRegistry()
-	m := NewManager(Options{Registry: reg, NewDetector: stallSeam(gate),
+	srv, c := newTestServer(t, Options{Registry: reg, NewDetector: stallSeam(gate),
 		WatchdogDeadline: 50 * time.Millisecond})
+	m := srv.manager
 	s, err := m.Open(resilienceConfig)
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -296,6 +299,55 @@ func TestWatchdogCondemnsStuckSession(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("feed into condemned session blocked on the stuck mutex")
 	}
+
+	// The same holds on the wire. Each call runs in its own goroutine so
+	// one that does park cannot hang the test: it returns once the gate
+	// opens below.
+	answers := func(name string, call func() error) {
+		t.Helper()
+		res := make(chan error, 1)
+		go func() { res <- call() }()
+		select {
+		case err := <-res:
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Errorf("%s into a condemned session blocked on the stuck mutex", name)
+		}
+	}
+	post := func(body []byte) func() error {
+		return func() error {
+			resp, err := c.http.Post(c.base+"/v1/sessions/"+s.ID()+"/elements",
+				"application/octet-stream", bytes.NewReader(body))
+			if err != nil {
+				return err
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusInternalServerError {
+				return fmt.Errorf("status %d, want 500", resp.StatusCode)
+			}
+			return nil
+		}
+	}
+	hello := func(ids bool) func() error {
+		return func() error {
+			sc, err := DialStream(streamAddr(c), s.ID(), StreamOptions{IDs: ids})
+			if err == nil {
+				sc.Close()
+				return errors.New("handshake accepted")
+			}
+			var se *StreamError
+			if !errors.As(err, &se) || se.Retryable {
+				return fmt.Errorf("%v, want a fatal StreamError", err)
+			}
+			return nil
+		}
+	}
+	answers("valid POST", post(mustEncode(t, uniformTrace(10))))
+	answers("corrupt POST", post([]byte("not a trace")))
+	answers("branch handshake", hello(false))
+	answers("ids handshake", hello(true))
 
 	// The stuck apply returns once the dependency unblocks, and the
 	// session lands in StateFailed with the condemnation preserved.

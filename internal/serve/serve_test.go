@@ -429,6 +429,99 @@ func TestCorruptChunkFailsOneRequest(t *testing.T) {
 	}
 }
 
+// TestIngestErrorTable pins the one error table both wire paths answer
+// from: for each kind of ingest refusal, the one-shot endpoint's HTTP
+// status and whether the framed stream's FrameErr is retryable (status 0
+// marks refusals the one-shot endpoint never meets). End to end, a chunk
+// refused because its session was handed off to another node was not
+// applied, so the one-shot endpoint answers 503, retryable like the
+// stream's FrameErr.
+func TestIngestErrorTable(t *testing.T) {
+	srv, c := newTestServer(t, Options{Registry: telemetry.NewRegistry()})
+	open := func() *Session {
+		t.Helper()
+		id, status := c.open(ConfigRequest{CW: 300})
+		s, ok := srv.manager.Get(id)
+		if status != http.StatusCreated || !ok {
+			t.Fatalf("open: status %d", status)
+		}
+		return s
+	}
+	valid := mustEncode(t, phasedTrace(100))
+
+	branch := open()
+	corrupt := ingestOne(branch, trace.FrameData, []byte("not a trace"))
+	truncated := ingestOne(branch, trace.FrameData, truncate(phasedTrace(100), 5))
+	wrongMode := ingestOne(branch, trace.FrameSyms, trace.AppendSymsPayload(nil, 0, nil))
+
+	ids := open()
+	if _, err := ids.StreamHello(true); err != nil {
+		t.Fatal(err)
+	}
+	gap := ingestOne(ids, trace.FrameSyms, trace.AppendSymsPayload(nil, 5, phasedTrace(1)))
+	stale := ids.ingest(99, trace.FrameSyms, trace.AppendSymsPayload(nil, 0, nil), new(ingestScratch), nil)
+
+	closed := open()
+	srv.manager.Close(closed.ID())
+	closedErr := ingestOne(closed, trace.FrameData, valid)
+
+	condemned := open()
+	condemned.condemned.Store(true)
+	condemnedErr := ingestOne(condemned, trace.FrameData, valid)
+
+	migrated := open()
+	if _, err := migrated.exportMigrate(true); err != nil {
+		t.Fatal(err)
+	}
+	migratedErr := ingestOne(migrated, trace.FrameData, valid)
+
+	for _, tc := range []struct {
+		name      string
+		err       error
+		status    int
+		retryable bool
+	}{
+		{"corrupt chunk", corrupt, http.StatusBadRequest, true},
+		{"truncated chunk", truncated, http.StatusBadRequest, true},
+		{"WAL failure", fmt.Errorf("%w: %w", ErrPersist, errors.New("disk full")), http.StatusServiceUnavailable, true},
+		{"migrated", migratedErr, http.StatusServiceUnavailable, true},
+		{"closed", closedErr, http.StatusConflict, false},
+		{"mode conflict", wrongMode, http.StatusConflict, false},
+		{"stale stream", stale, 0, false},
+		{"symbol-table gap", gap, 0, false},
+		{"panicked", fmt.Errorf("%w: %w", ErrFailed, &sweep.PanicError{Value: "boom"}), http.StatusInternalServerError, false},
+		{"condemned", condemnedErr, http.StatusInternalServerError, false},
+	} {
+		if tc.err == nil {
+			t.Errorf("%s: ingest accepted the record", tc.name)
+			continue
+		}
+		status, retryable := ingestStatus(tc.err)
+		if (tc.status != 0 && status != tc.status) || retryable != tc.retryable {
+			t.Errorf("%s (%v): status %d retryable %v, want %d %v", tc.name, tc.err, status, retryable, tc.status, tc.retryable)
+		}
+	}
+
+	// Over the wire: a one-shot chunk and a stream frame meeting a
+	// session that was handed off mid-flight.
+	if status, eb := c.sendRaw(migrated.ID(), valid); status != http.StatusServiceUnavailable {
+		t.Errorf("POST to a migrated session: status %d (%s), want 503", status, eb.Error)
+	}
+	streamed := open()
+	conn, fr := rawStream(t, streamAddr(c), streamed.ID())
+	defer conn.Close()
+	if _, err := streamed.exportMigrate(true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(trace.AppendFrame(nil, trace.FrameData, valid)); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload := nextDataPlane(t, fr)
+	if retryable, msg := parseErrPayload(payload); typ != trace.FrameErr || !retryable {
+		t.Errorf("data frame to a migrated session: %s frame %q (retryable %v), want a retryable err", typ, msg, retryable)
+	}
+}
+
 // TestAdmissionCaps pins the 429/413 rejections and their counters.
 func TestAdmissionCaps(t *testing.T) {
 	reg := telemetry.NewRegistry()
@@ -611,6 +704,13 @@ func mustEncode(t *testing.T, elems trace.Trace) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// ingestOne runs one record through Session.ingest as a wire chunk of
+// the one-shot endpoint would: fresh scratch, a trace, generation 0.
+func ingestOne(s *Session, kind trace.FrameType, payload []byte) error {
+	ct := telemetry.ChunkTrace{Start: time.Now(), Bytes: int64(len(payload))}
+	return s.ingest(0, kind, payload, new(ingestScratch), &ct)
 }
 
 // TestSessionFeedPanicDirect pins the session-layer recovery contract

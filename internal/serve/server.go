@@ -144,9 +144,6 @@ func (s *Server) Recover() (recovered, dropped int, err error) {
 	return recovered, dropped, nil
 }
 
-// Ready reports whether the /v1 API is admitting traffic.
-func (s *Server) Ready() bool { return s.ready.Load() }
-
 // requireReady 503s API requests until boot replay has finished.
 func (s *Server) requireReady(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -382,6 +379,31 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
+// ingestStatus is the one error table of both wire paths: it maps an
+// ingest error to the one-shot endpoint's HTTP status and to whether the
+// framed stream's FrameErr is retryable. Only a decode error leaves the
+// stream connection open, since the frame around the damaged chunk was
+// intact and the byte stream is still in sync.
+//
+//	decode error (ErrCorrupt, ErrTruncated)   400  retryable, connection stays
+//	ErrPersist, ErrMigrated                   503  retryable, connection closes
+//	ErrClosed, ErrModeConflict                409  fatal
+//	ErrFailed (panic or condemned),           500  fatal
+//	ErrStaleStream, symbol-table conflicts
+func ingestStatus(err error) (status int, retryable bool) {
+	switch {
+	case errors.Is(err, trace.ErrCorrupt), errors.Is(err, trace.ErrTruncated):
+		return http.StatusBadRequest, true
+	case errors.Is(err, ErrPersist), errors.Is(err, ErrMigrated):
+		// Not applied: the client retries it verbatim, through the gateway
+		// to the session's new home for ErrMigrated.
+		return http.StatusServiceUnavailable, true
+	case errors.Is(err, ErrClosed), errors.Is(err, ErrModeConflict):
+		return http.StatusConflict, false
+	}
+	return http.StatusInternalServerError, false
+}
+
 // sessionFor resolves the {id} path value, answering 404 itself when the
 // session does not exist (unknown, already closed and removed, or
 // evicted).
@@ -557,11 +579,10 @@ var chunkBufPool = sync.Pool{
 	New: func() any { return new(bytes.Buffer) },
 }
 
-// elemsPool recycles decoded element slices across ingest requests. The
-// detector copies every element it keeps (window ring, pending buffer),
-// so the slice is free for reuse the moment the feed call returns.
-var elemsPool = sync.Pool{
-	New: func() any { return new(trace.Trace) },
+// scratchPool recycles decode scratch across ingest requests and stream
+// connections (see ingestScratch).
+var scratchPool = sync.Pool{
+	New: func() any { return new(ingestScratch) },
 }
 
 func (s *Server) handleElements(w http.ResponseWriter, r *http.Request) {
@@ -583,8 +604,7 @@ func (s *Server) handleElements(w http.ResponseWriter, r *http.Request) {
 	ct.StageNS[telemetry.StageRead] = time.Since(t0).Nanoseconds()
 	ct.Bytes = int64(buf.Len())
 	if rerr != nil {
-		s.manager.probe.ChunkError()
-		sess.RecordBadChunk(&ct, rerr)
+		sess.recordReadError(&ct, rerr)
 		var tooBig *http.MaxBytesError
 		if errors.As(rerr, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge,
@@ -612,53 +632,29 @@ func (s *Server) handleElements(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.manager.res.gov.Release(ct.Bytes)
-	// The lenient decoder classifies damage without losing the decode
-	// position; a damaged chunk is rejected whole — nothing of it
-	// reaches the detector, so the client can repair and resend exactly
-	// this chunk. The element slice comes from a pool (the detector
-	// copies what it keeps) and decodes in place out of the body buffer.
-	t0 = time.Now()
-	tp := elemsPool.Get().(*trace.Trace)
-	defer func() {
-		*tp = (*tp)[:0]
-		elemsPool.Put(tp)
-	}()
-	elems, err := trace.DecodeBranchesLenient((*tp)[:0], buf.Bytes())
-	*tp = elems
-	ct.StageNS[telemetry.StageDecode] = time.Since(t0).Nanoseconds()
-	if err != nil {
-		s.manager.probe.ChunkError()
-		sess.RecordBadChunk(&ct, err)
-		eb := errorBody{Error: err.Error(), Kind: "corrupt"}
-		if errors.Is(err, trace.ErrTruncated) {
-			eb.Kind = "truncated"
+	sc := scratchPool.Get().(*ingestScratch)
+	defer scratchPool.Put(sc)
+	if err := sess.ingest(0, trace.FrameData, buf.Bytes(), sc, &ct); err != nil {
+		status, _ := ingestStatus(err)
+		eb := errorBody{Error: err.Error()}
+		if status == http.StatusBadRequest {
+			// A damaged chunk is classified and located, so the client can
+			// repair and resend exactly this chunk.
+			eb.Kind = "corrupt"
+			if errors.Is(err, trace.ErrTruncated) {
+				eb.Kind = "truncated"
+			}
+			var fe *trace.FormatError
+			if errors.As(err, &fe) {
+				eb.Offset, eb.Index = fe.Offset, fe.Index
+			}
 		}
-		var fe *trace.FormatError
-		if errors.As(err, &fe) {
-			eb.Offset, eb.Index = fe.Offset, fe.Index
-		}
-		writeJSON(w, http.StatusBadRequest, eb)
+		writeJSON(w, status, eb)
 		return
 	}
-	// The body buffer already holds the chunk in wire form, which is
-	// exactly the WAL record payload — feed both so a durable session
-	// pays no re-encode.
-	if err := sess.FeedWireTraced(0, buf.Bytes(), elems, &ct); err != nil {
-		switch {
-		case errors.Is(err, ErrClosed), errors.Is(err, ErrModeConflict):
-			writeError(w, http.StatusConflict, err)
-		case errors.Is(err, ErrPersist):
-			// The chunk was not applied; the client may retry it verbatim.
-			writeError(w, http.StatusServiceUnavailable, err)
-		default: // ErrFailed: the panic poisoned this session only
-			writeError(w, http.StatusInternalServerError, err)
-		}
-		return
-	}
-	s.manager.probe.Chunk(int64(len(elems)))
 	consumed, inPhase, eventsTotal := sess.Progress()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"elements":     len(elems),
+		"elements":     ct.Elements,
 		"consumed":     consumed,
 		"in_phase":     inPhase,
 		"events_total": eventsTotal,
@@ -758,40 +754,28 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, sess *Sess
 	// resumes from its Last-Event-ID on reconnect.
 	rc := http.NewResponseController(w)
 	sseTimeout := s.manager.res.sseWrite
-	drop := func(cause error) {
+	drop := func(cause error) bool {
 		s.manager.res.probe.SlowSubscriberDrop()
 		s.logger.Warn("slow SSE subscriber dropped",
 			"session", sess.ID(), "err", cause.Error(), "write_timeout", sseTimeout.String())
+		return false
 	}
-	sub := sess.subscribe()
-	defer sess.unsubscribe(sub)
-	cursor := since
-	for {
-		evs, wall, next, terminated := sess.eventsSinceWall(cursor)
-		now := time.Now().UnixNano()
-		if sseTimeout > 0 && (len(evs) > 0 || terminated) {
+	sess.followEvents(since, r.Context().Done(), func(evs []Event, next uint64, terminated bool) bool {
+		if sseTimeout > 0 {
 			_ = rc.SetWriteDeadline(time.Now().Add(sseTimeout))
 		}
-		for i, e := range evs {
+		for _, e := range evs {
 			data, _ := json.Marshal(e)
 			// The id: line feeds the client's Last-Event-ID on reconnect.
 			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.Seq, e.Kind, data); err != nil {
-				drop(err)
-				return
-			}
-			// Delivery lag: detection wall time to SSE write. Events
-			// restored from a snapshot carry no wall time and are skipped.
-			if wall[i] > 0 {
-				s.manager.probe.SSELag(now - wall[i])
+				return drop(err)
 			}
 		}
 		if len(evs) > 0 {
 			if err := rc.Flush(); err != nil {
-				drop(err)
-				return
+				return drop(err)
 			}
 		}
-		cursor = next
 		if terminated {
 			// A migrated session ends the stream without the terminal
 			// marker: the events continue at the session's new home, and
@@ -801,12 +785,7 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, sess *Sess
 				fmt.Fprintf(w, "event: end\ndata: {\"events_total\":%d}\n\n", next)
 			}
 			_ = rc.Flush()
-			return
 		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-sub.notify:
-		}
-	}
+		return true
+	})
 }

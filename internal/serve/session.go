@@ -290,10 +290,10 @@ func (s *Session) releaseMemAll() {
 func (s *Session) idleSince() time.Time { return time.Unix(0, s.lastUsed.Load()) }
 
 // appendLocked adds one event to the log and wakes subscribers. Callers
-// must hold s.mu (the detector hooks do, transitively, via Feed/Close).
+// must hold s.mu (the detector hooks do, transitively, via ingest/close).
 // The time spent here is the "publish" stage of the chunk being applied:
-// it accumulates into batchPublishNS so FeedTraced can report detector
-// work net of event publishing.
+// it accumulates into batchPublishNS so ingest can report detector work
+// net of event publishing.
 func (s *Session) appendLocked(kind string, at, v1, v2 int64) {
 	t0 := time.Now()
 	seq := s.base + uint64(len(s.events))
@@ -346,67 +346,66 @@ func (s *Session) usableLocked() error {
 	return nil
 }
 
-// Feed applies one decoded chunk to the session's detector. Chunks are
-// serialized per session; grouping is chunk-size agnostic (see
-// core.ProcessBatch). A panic in detector/model code is recovered into a
-// *sweep.PanicError, the session transitions to StateFailed, and the
-// error is returned — the process and every other session are unharmed.
-//
-// With durability on, the chunk is WAL-appended before it touches the
-// detector: an acknowledged chunk is as durable as the fsync policy
-// promises, and a WAL write failure rejects the chunk (ErrPersist)
-// without applying it, so the client can retry it verbatim.
+// Feed applies one chunk of elements as if it had arrived as a one-shot
+// POST body: the in-process convenience for embedding callers. It
+// encodes the chunk to its wire form and runs ingest.
 func (s *Session) Feed(elems []trace.Branch) error {
-	ct := telemetry.ChunkTrace{Start: time.Now(), Bytes: -1}
-	return s.FeedTraced(elems, &ct)
+	payload := trace.AppendBranches(nil, elems)
+	ct := telemetry.ChunkTrace{Start: time.Now(), Bytes: int64(len(payload))}
+	return s.ingest(0, trace.FrameData, payload, new(ingestScratch), &ct)
 }
 
-// FeedTraced is Feed with stage attribution: ct arrives with Start,
-// Bytes, and the read/decode stages already filled by the HTTP handler,
-// and this method adds the WAL, detect, publish, and snapshot stages,
-// records the completed trace into the session's flight recorder, and
-// feeds the per-stage latency histograms. Every chunk — applied,
-// rejected by the WAL, or panicking — leaves exactly one trace.
-func (s *Session) FeedTraced(elems []trace.Branch, ct *telemetry.ChunkTrace) error {
-	return s.feedTraced(modeBranch, 0, int64(len(elems)), ct,
-		func() (durable.AppendStats, error) { return s.log.Append(encodeChunk(elems)) },
-		func() { s.det.ProcessBatch(elems) })
+// ingestScratch holds one caller's decode buffers, reused from record to
+// record: a pooled one per POST, one per stream connection, one per WAL
+// replay. The detector copies what it keeps of a chunk, so the buffers
+// are free again the moment ingest returns, and no session holds a
+// chunk-sized buffer between chunks.
+type ingestScratch struct {
+	elems trace.Trace
+	ids   []int32
+	syms  []trace.Branch
 }
 
-// FeedWireTraced is FeedTraced for a chunk that arrived already in the
-// OPDBRNC1 wire format (the streaming ingest path): payload is the
-// verified wire bytes and elems their decoded form. The WAL append
-// reuses the wire bytes as the record payload verbatim — replay reads
-// them with the same strict decoder — so the durable path pays no
-// re-encode. gen is the stream handshake generation (zero for the
-// one-shot HTTP path, which has no resume cursor to fence).
-func (s *Session) FeedWireTraced(gen uint64, payload []byte, elems []trace.Branch, ct *telemetry.ChunkTrace) error {
-	return s.feedTraced(modeBranch, gen, int64(len(elems)), ct,
-		func() (durable.AppendStats, error) { return s.log.Append(payload) },
-		func() { s.det.ProcessBatch(elems) })
-}
-
-// FeedIDsTraced is FeedTraced for a dense-ID chunk on a session latched
-// into ID mode: payload is the verified IDs wire payload (WAL-appended
-// behind a one-byte record-type prefix) and ids its decoded form, every
-// ID already validated against the negotiated symbol table.
-func (s *Session) FeedIDsTraced(gen uint64, payload []byte, ids []int32, ct *telemetry.ChunkTrace) error {
-	return s.feedTraced(modeIDs, gen, int64(len(ids)), ct,
-		func() (durable.AppendStats, error) { return s.log.Append(walPrefixIDs, payload) },
-		func() { s.det.ProcessBatchIDs(ids) })
-}
-
-// feedTraced is the shared ingest path: mode gate, WAL append (with
-// write/fsync attribution), detector apply (with publish attribution),
-// resume-cursor advance, and snapshot cadence — under the session mutex
-// with panic containment. wal is only invoked when the session is
-// durable; apply must route the chunk into the detector.
-func (s *Session) feedTraced(want sessionMode, gen uint64, elements int64, ct *telemetry.ChunkTrace, wal func() (durable.AppendStats, error), apply func()) (err error) {
-	s.touch()
-	// A condemned session's mutex may never unlock again (that is why it
-	// was condemned); fail fast instead of queueing behind it.
+// condemnedErr fast-fails new work on a session the watchdog condemned:
+// its mutex may never unlock again, so nothing may queue behind it.
+func (s *Session) condemnedErr() error {
 	if s.condemned.Load() {
 		return fmt.Errorf("%w: %w", ErrFailed, ErrCondemned)
+	}
+	return nil
+}
+
+// ingest is the session's one way in. Every record — a one-shot POST
+// body, a stream Data, IDs or Syms frame, a replayed WAL record — is
+// decoded, checked, logged and applied here, in that order. kind is
+// FrameData (an OPDBRNC1 branch chunk), FrameIDs (a dense-ID chunk) or
+// FrameSyms (a symbol-table extension), and payload is the record's wire
+// bytes, which the WAL stores verbatim behind the kind's record-type
+// prefix, so the durable path pays no re-encode. gen is the stream
+// handshake generation; zero (the one-shot endpoint and replay) fences
+// nothing. sc holds the caller's decode buffers.
+//
+// ct is a wire chunk's trace, arriving with Start, Bytes and the read
+// stage filled; nil marks an untraced record (replay). A traced data
+// chunk leaves exactly one flight trace, whether it is applied, refused
+// by its decoder or the WAL, or panics. Symbol records and usable,
+// generation and mode refusals leave none.
+//
+// A decode error wraps trace.ErrCorrupt or trace.ErrTruncated, and a
+// refused record changes nothing: it is decoded and checked before it is
+// WAL-appended, and WAL-appended before it touches the detector, so a
+// WAL failure (ErrPersist) rejects it unapplied and the client may retry
+// it verbatim. Grouping is chunk-size agnostic (core.ProcessBatch). A
+// panic in detector code is recovered into a *sweep.PanicError that
+// poisons this session only.
+func (s *Session) ingest(gen uint64, kind trace.FrameType, payload []byte, sc *ingestScratch, ct *telemetry.ChunkTrace) (err error) {
+	s.touch()
+	if err := s.condemnedErr(); err != nil {
+		return err
+	}
+	traced := ct != nil && kind != trace.FrameSyms
+	if ct == nil {
+		ct = &telemetry.ChunkTrace{}
 	}
 	s.mu.Lock()
 	s.detectStart.Store(time.Now().UnixNano())
@@ -414,18 +413,53 @@ func (s *Session) feedTraced(want sessionMode, gen uint64, elements int64, ct *t
 		s.detectStart.Store(0)
 		s.mu.Unlock()
 	}()
+	t0 := time.Now()
+	var elements int
+	var symStart uint64
+	switch kind {
+	case trace.FrameData:
+		sc.elems, err = trace.DecodeBranchesLenient(sc.elems[:0], payload)
+		elements = len(sc.elems)
+	case trace.FrameIDs:
+		sc.ids, err = trace.DecodeIDsPayload(sc.ids[:0], payload, s.symbolCountLocked())
+		elements = len(sc.ids)
+	case trace.FrameSyms:
+		symStart, sc.syms, err = trace.DecodeSymsPayload(sc.syms[:0], payload)
+	default:
+		return fmt.Errorf("serve: %s frame is not an ingest record", kind)
+	}
+	ct.StageNS[telemetry.StageDecode] = time.Since(t0).Nanoseconds()
+	if err != nil {
+		// Damage rejects the chunk whole: nothing of it reaches the
+		// detector, so the client can repair and resend exactly this chunk.
+		if traced {
+			s.recordBadChunkLocked(ct, err)
+		}
+		return err
+	}
 	if err := s.usableLocked(); err != nil {
 		return err
 	}
 	if gen != 0 && gen != s.streamGen {
 		return ErrStaleStream
 	}
+	want := modeIDs
+	if kind == trace.FrameData {
+		want = modeBranch
+	}
 	if s.mode != want {
 		return fmt.Errorf("%w: %s ingest into a %s-mode session", ErrModeConflict, want, s.mode)
 	}
-	s.chunkSeq++
-	ct.Seq = s.chunkSeq
-	ct.Elements = elements
+	if kind == trace.FrameSyms {
+		if err := s.checkSymsLocked(symStart, sc.syms); err != nil {
+			return err
+		}
+	}
+	if traced {
+		s.chunkSeq++
+		ct.Seq = s.chunkSeq
+		ct.Elements = int64(elements)
+	}
 	panicked := false
 	defer func() {
 		if v := recover(); v != nil {
@@ -448,53 +482,68 @@ func (s *Session) feedTraced(want sessionMode, gen uint64, elements int64, ct *t
 				err = fmt.Errorf("%w: %w", ErrFailed, s.failed)
 			}
 		}
-		if err != nil {
-			ct.Err = err.Error()
+		if traced {
+			if err != nil {
+				ct.Err = err.Error()
+			} else {
+				s.probe.Chunk(ct.Elements)
+			}
+			ct.TotalNS = time.Since(ct.Start).Nanoseconds()
+			s.recordChunkLocked(*ct)
 		}
-		ct.TotalNS = time.Since(ct.Start).Nanoseconds()
-		s.recordChunkLocked(*ct)
 		if panicked {
 			s.dumpFlightLocked("panic in detector code")
 		}
 	}()
 	if s.log != nil {
 		t0 := time.Now()
-		stats, perr := s.walAppendLocked(wal)
-		// The append stage is everything but the fsync: chunk encode,
-		// record framing, segment rotation, and the file write.
+		stats, perr := s.walAppendLocked(walPrefix(kind), payload)
+		// The append stage is everything but the fsync: record framing,
+		// segment rotation, and the file write.
 		ct.StageNS[telemetry.StageWALFsync] = stats.FsyncNS
 		ct.StageNS[telemetry.StageWALAppend] = time.Since(t0).Nanoseconds() - stats.FsyncNS
 		if perr != nil {
 			return fmt.Errorf("%w: %w", ErrPersist, perr)
 		}
 	}
+	if kind == trace.FrameSyms {
+		// Only the frame's tail past the current table is new.
+		if have := uint64(len(s.det.Symbols())); symStart+uint64(len(sc.syms)) > have {
+			return s.det.ExtendSymbols(sc.syms[have-symStart:])
+		}
+		return nil
+	}
 	s.batchPublishNS, s.batchEvents = 0, 0
-	t0 := time.Now()
-	apply()
+	t0 = time.Now()
+	if kind == trace.FrameData {
+		s.det.ProcessBatch(sc.elems)
+	} else {
+		s.det.ProcessBatchIDs(sc.ids)
+	}
 	batchNS := time.Since(t0).Nanoseconds()
 	ct.StageNS[telemetry.StageDetect] = batchNS - s.batchPublishNS
 	ct.StageNS[telemetry.StagePublish] = s.batchPublishNS
 	ct.Events = s.batchEvents
 	s.applied++
-	t1 := time.Now()
+	t0 = time.Now()
 	if s.maybeSnapshotLocked() {
-		ct.StageNS[telemetry.StageSnapshot] = time.Since(t1).Nanoseconds()
+		ct.StageNS[telemetry.StageSnapshot] = time.Since(t0).Nanoseconds()
 	}
 	return nil
 }
 
-// walAppendLocked runs one chunk's WAL append under the configured
-// durability policy. Strict (or no resilience control at all) is
-// today's contract: the append's error fails the chunk. Degraded wraps
+// walAppendLocked appends one record (prefix + payload) to the WAL under
+// the configured durability policy. Strict (or no resilience control at
+// all) is today's contract: the append's error fails the chunk. Degraded wraps
 // the append in a per-session circuit breaker: after breakerLimit
 // consecutive failures the session stops touching the disk and applies
 // chunks ephemerally, probing the disk on a capped exponential backoff;
 // a successful probe re-snapshots the full session state — the WAL's
 // next index never advanced while degraded, so the snapshot supersedes
 // the stale tail and durability resumes exactly where detection is.
-func (s *Session) walAppendLocked(wal func() (durable.AppendStats, error)) (durable.AppendStats, error) {
+func (s *Session) walAppendLocked(prefix, payload []byte) (durable.AppendStats, error) {
 	if s.res == nil || s.res.policy != DurabilityDegraded {
-		stats, err := wal()
+		stats, err := s.log.Append(prefix, payload)
 		if err != nil && s.res != nil {
 			s.res.probe.WALFailure()
 		}
@@ -513,7 +562,7 @@ func (s *Session) walAppendLocked(wal func() (durable.AppendStats, error)) (dura
 		}
 		// Healed: fall through and append this chunk durably.
 	}
-	stats, err := wal()
+	stats, err := s.log.Append(prefix, payload)
 	if err == nil {
 		s.brk.failures = 0
 		return stats, nil
@@ -564,47 +613,15 @@ func (s *Session) Degraded() bool {
 	return s.brk.open
 }
 
-// ExtendSymbols applies a symbol-table extension frame: start is the
-// table index the frame's first symbol claims, syms the symbols, and
-// payload the verified wire bytes (WAL-appended behind a record-type
-// prefix before the table mutates, so recovery replays the extension in
-// order with the data chunks that reference it).
-//
+// checkSymsLocked validates a symbol-extension record against the
+// current table without mutating anything: no gaps, the overlap
+// (replayed symbols) must match the table exactly, and the new tail must
+// give no element a second ID. Symbol records extend the detector's own
+// table, which in an ID-mode session is the client's negotiated table.
 // Extension is idempotent over replayed frames — a reconnecting client
 // resends the symbols of chunks the server already applied — so a frame
-// entirely inside the current table is verified and dropped, an
-// overlapping frame appends only its tail, and a frame that would leave
-// a gap (or contradicts the table) is a protocol error.
-func (s *Session) ExtendSymbols(gen uint64, payload []byte, start uint64, syms []trace.Branch) error {
-	s.touch()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.usableLocked(); err != nil {
-		return err
-	}
-	if gen != 0 && gen != s.streamGen {
-		return ErrStaleStream
-	}
-	if s.mode != modeIDs {
-		return fmt.Errorf("%w: symbol frame on a %s-mode session", ErrModeConflict, s.mode)
-	}
-	if err := s.checkSymsLocked(start, syms); err != nil {
-		return err
-	}
-	if s.log != nil {
-		if _, err := s.walAppendLocked(func() (durable.AppendStats, error) {
-			return s.log.Append(walPrefixSyms, payload)
-		}); err != nil {
-			return fmt.Errorf("%w: %w", ErrPersist, err)
-		}
-	}
-	return s.applySymsLocked(start, syms)
-}
-
-// checkSymsLocked validates a symbol-extension frame against the current
-// table without mutating anything: no gaps, the overlap (replayed
-// symbols) must match the table exactly, and the new tail must give no
-// element a second ID.
+// entirely inside the current table is verified and dropped, and an
+// overlapping frame appends only its tail.
 func (s *Session) checkSymsLocked(start uint64, syms []trace.Branch) error {
 	table := s.det.Symbols()
 	have := uint64(len(table))
@@ -624,16 +641,6 @@ func (s *Session) checkSymsLocked(start uint64, syms []trace.Branch) error {
 		}
 	}
 	return nil
-}
-
-// applySymsLocked extends the detector's table with the frame's new tail,
-// if any.
-func (s *Session) applySymsLocked(start uint64, syms []trace.Branch) error {
-	have := uint64(len(s.det.Symbols()))
-	if start+uint64(len(syms)) <= have {
-		return nil
-	}
-	return s.det.ExtendSymbols(syms[have-start:])
 }
 
 // SymbolCount returns the size of the session's negotiated symbol table
@@ -672,9 +679,12 @@ type streamState struct {
 // session speaks.
 func (s *Session) StreamHello(wantIDs bool) (streamState, error) {
 	s.touch()
+	var st streamState
+	if err := s.condemnedErr(); err != nil {
+		return st, err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var st streamState
 	if err := s.usableLocked(); err != nil {
 		return st, err
 	}
@@ -708,19 +718,31 @@ func (s *Session) recordChunkLocked(ct telemetry.ChunkTrace) {
 	}
 }
 
-// RecordBadChunk files a flight-recorder trace for a chunk that never
-// reached the detector (decode failure): the poisoning request itself is
-// often the most interesting entry in a post-mortem. Bad chunks stay out
-// of the stage latency histograms so percentiles describe successful
-// ingest only.
-func (s *Session) RecordBadChunk(ct *telemetry.ChunkTrace, cause error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// recordBadChunkLocked counts and files the flight trace of a wire chunk
+// that never reached the detector (unreadable or undecodable): the
+// poisoning request itself is often the most interesting entry in a
+// post-mortem. Bad chunks stay out of the latency histograms so
+// percentiles describe successful ingest only.
+func (s *Session) recordBadChunkLocked(ct *telemetry.ChunkTrace, cause error) {
+	s.probe.ChunkError()
 	s.chunkSeq++
 	ct.Seq = s.chunkSeq
 	ct.Err = cause.Error()
 	ct.TotalNS = time.Since(ct.Start).Nanoseconds()
 	s.flight.Record(*ct)
+}
+
+// recordReadError files a one-shot chunk whose body could not be read. A
+// condemned session's chunk is counted but not traced: its mutex may
+// never unlock again.
+func (s *Session) recordReadError(ct *telemetry.ChunkTrace, cause error) {
+	if s.condemnedErr() != nil {
+		s.probe.ChunkError()
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.recordBadChunkLocked(ct, cause)
 }
 
 // Flight returns the session's retained chunk traces (oldest first) and
@@ -753,60 +775,6 @@ func (s *Session) dumpFlightLocked(cause string) {
 		"consumed", s.det.Consumed(),
 		"flight", sb.String(),
 	)
-}
-
-// replay applies one recovered WAL chunk to the detector: Feed's apply
-// path without the WAL append (the chunk is already on disk). A panic
-// poisons the session just as it did in the original run.
-func (s *Session) replay(elems []trace.Branch) error {
-	return s.replayApply(func() { s.det.ProcessBatch(elems) })
-}
-
-// replayIDs applies one recovered dense-ID WAL chunk. ID records only
-// ever come from an ID-mode session, so the mode re-latches here when
-// the snapshot predates the latch.
-func (s *Session) replayIDs(ids []int32) error {
-	return s.replayApply(func() {
-		s.mode = modeIDs
-		s.det.ProcessBatchIDs(ids)
-	})
-}
-
-// replaySyms re-applies a recovered symbol-extension record, rebuilding
-// the negotiated table in lockstep with the ID chunks that follow it.
-func (s *Session) replaySyms(start uint64, syms []trace.Branch) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.usableLocked(); err != nil {
-		return err
-	}
-	s.mode = modeIDs
-	if err := s.checkSymsLocked(start, syms); err != nil {
-		return err
-	}
-	return s.applySymsLocked(start, syms)
-}
-
-// replayApply runs one recovered data record through the detector with
-// the replay-path panic containment, advancing the resume cursor exactly
-// as the original ingest did.
-func (s *Session) replayApply(apply func()) (err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.usableLocked(); err != nil {
-		return err
-	}
-	defer func() {
-		if v := recover(); v != nil {
-			s.failed = &sweep.PanicError{Value: v, Stack: debug.Stack()}
-			s.state = StateFailed
-			s.probe.SessionFailed()
-			err = fmt.Errorf("%w: %w", ErrFailed, s.failed)
-		}
-	}()
-	apply()
-	s.applied++
-	return nil
 }
 
 // maybeSnapshotLocked persists a full session snapshot every snapEvery
@@ -976,6 +944,40 @@ func (s *Session) eventsSinceWall(since uint64) (evs []Event, wall []int64, next
 		wall = append(wall, s.wall[since-s.base:]...)
 	}
 	return evs, wall, end, s.state != StateActive || s.migrated
+}
+
+// followEvents is the one event-follow loop behind both live event
+// surfaces, SSE and the framed stream's pump. It hands write every
+// retained event with Seq >= since, then each batch of new events as the
+// log grows, and returns once the session has terminated, stop has
+// closed, or write reports the stream dead. The last batch carries
+// terminated (and may be empty); next is the cursor past the batch.
+// Delivery lag, from log entry to write, is recorded for every event
+// written except snapshot-restored ones, which carry no wall time.
+func (s *Session) followEvents(since uint64, stop <-chan struct{}, write func(evs []Event, next uint64, terminated bool) bool) {
+	sub := s.subscribe()
+	defer s.unsubscribe(sub)
+	for {
+		evs, wall, next, terminated := s.eventsSinceWall(since)
+		now := time.Now().UnixNano()
+		if (len(evs) > 0 || terminated) && !write(evs, next, terminated) {
+			return
+		}
+		for _, w := range wall {
+			if w > 0 {
+				s.probe.SSELag(now - w)
+			}
+		}
+		if terminated {
+			return
+		}
+		since = next
+		select {
+		case <-stop:
+			return
+		case <-sub.notify:
+		}
+	}
 }
 
 // subscribe registers a live event consumer.

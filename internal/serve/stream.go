@@ -233,16 +233,11 @@ func (sc *streamConn) writeAck(elements int64) bool {
 // connection dies, or stop closes.
 func (sc *streamConn) pumpEvents(since uint64, stop <-chan struct{}, wg *sync.WaitGroup) {
 	defer wg.Done()
-	sub := sc.sess.subscribe()
-	defer sc.sess.unsubscribe(sub)
-	cursor := since
-	for {
-		evs, wall, next, terminated := sc.sess.eventsSinceWall(cursor)
-		now := time.Now().UnixNano()
-		for i, e := range evs {
+	sc.sess.followEvents(since, stop, func(evs []Event, _ uint64, _ bool) bool {
+		for _, e := range evs {
 			data, err := json.Marshal(e)
 			if err != nil {
-				return
+				return false
 			}
 			// Buffer each event and flush once per batch below: during a
 			// hot ingest burst events arrive in clusters, and a syscall
@@ -251,27 +246,14 @@ func (sc *streamConn) pumpEvents(since uint64, stop <-chan struct{}, wg *sync.Wa
 			ok := sc.writeFrameLocked(trace.FrameEvent, data, false)
 			sc.wmu.Unlock()
 			if !ok {
-				return
-			}
-			// Delivery lag, same accounting as the SSE path; events
-			// restored from a snapshot carry no wall time and are skipped.
-			if wall[i] > 0 {
-				sc.s.manager.probe.SSELag(now - wall[i])
+				return false
 			}
 		}
 		if len(evs) > 0 {
 			sc.flush()
 		}
-		cursor = next
-		if terminated {
-			return
-		}
-		select {
-		case <-stop:
-			return
-		case <-sub.notify:
-		}
-	}
+		return true
+	})
 }
 
 // handleStream upgrades the request and runs the frame loop until the
@@ -382,15 +364,9 @@ func (s *Server) serveStream(sc *streamConn, fr *trace.FrameReader) {
 		pump.Wait()
 	}()
 
-	// Reused per-connection decode buffers: the detector copies every
-	// element it keeps, so both recycle the moment a feed call returns.
-	tp := elemsPool.Get().(*trace.Trace)
-	defer func() {
-		*tp = (*tp)[:0]
-		elemsPool.Put(tp)
-	}()
-	var idbuf []int32
-	var symsBuf []trace.Branch
+	// One decode scratch per connection (see ingestScratch).
+	scratch := scratchPool.Get().(*ingestScratch)
+	defer scratchPool.Put(scratch)
 	var pendingAck int64  // elements applied but not yet acked
 	var pendingChunks int // chunks covered by pendingAck
 
@@ -449,7 +425,7 @@ func (s *Server) serveStream(sc *streamConn, fr *trace.FrameReader) {
 				return
 			}
 			continue
-		case trace.FrameData, trace.FrameIDs:
+		case trace.FrameData, trace.FrameIDs, trace.FrameSyms:
 			// Next blocked for as long as the client was idle; the read
 			// stage starts at the payload read.
 			ct := telemetry.ChunkTrace{Start: time.Now()}
@@ -459,10 +435,11 @@ func (s *Server) serveStream(sc *streamConn, fr *trace.FrameReader) {
 				return
 			}
 			ct.Bytes = int64(len(payload))
-			// Hard-watermark shedding, same contract as the one-shot
-			// endpoint: the shed is a retryable FrameErr and the cursor
-			// does not advance, so the client backs off and resends.
-			if g := s.manager.res.gov; !g.TryReserve(ct.Bytes) {
+			data := typ != trace.FrameSyms
+			// Hard-watermark shedding of data frames, same contract as the
+			// one-shot endpoint: the shed is a retryable FrameErr and the
+			// cursor does not advance, so the client backs off and resends.
+			if g := s.manager.res.gov; data && !g.TryReserve(ct.Bytes) {
 				s.manager.res.probe.ShedChunk()
 				s.logger.Warn("stream chunk shed: memory over hard watermark",
 					"session", sess.ID(), "chunk_bytes", ct.Bytes, "used_bytes", g.Used())
@@ -471,76 +448,34 @@ func (s *Server) serveStream(sc *streamConn, fr *trace.FrameReader) {
 				}
 				continue
 			}
-			t0 := time.Now()
-			var elements int64
-			var derr, ferr error
-			if typ == trace.FrameData {
-				var elems trace.Trace
-				elems, derr = trace.DecodeBranchesLenient((*tp)[:0], payload)
-				*tp = elems
-				ct.StageNS[telemetry.StageDecode] = time.Since(t0).Nanoseconds()
-				elements = int64(len(elems))
-				if derr == nil {
-					ferr = sess.FeedWireTraced(sc.gen, payload, elems, &ct)
-				}
-			} else {
-				idbuf, derr = trace.DecodeIDsPayload(idbuf[:0], payload, sess.SymbolCount())
-				ct.StageNS[telemetry.StageDecode] = time.Since(t0).Nanoseconds()
-				elements = int64(len(idbuf))
-				if derr == nil {
-					ferr = sess.FeedIDsTraced(sc.gen, payload, idbuf, &ct)
-				}
+			err = sess.ingest(sc.gen, typ, payload, scratch, &ct)
+			if data {
+				s.manager.res.gov.Release(ct.Bytes)
 			}
-			s.manager.res.gov.Release(ct.Bytes)
-			if derr != nil {
-				// In-payload damage: reject the chunk whole, stay in sync.
-				s.manager.probe.ChunkError()
-				sess.RecordBadChunk(&ct, derr)
-				if !sc.sendErr(true, derr) {
+			if err != nil {
+				// Nothing of the record was applied. Only in-payload damage
+				// keeps the connection in sync; every other refusal ends it,
+				// retryably or not (see ingestStatus).
+				status, retryable := ingestStatus(err)
+				if !sc.sendErr(retryable, err) || status != http.StatusBadRequest {
 					return
 				}
 				continue
 			}
-			if ferr != nil {
-				// The chunk was not applied. ErrPersist is retryable after
-				// a reconnect (the cursor has not advanced), and so is
-				// ErrMigrated (the reconnect lands on the session's new
-				// home via the gateway); everything else — closed,
-				// poisoned, wrong mode — is terminal.
-				sc.sendErr(errors.Is(ferr, ErrPersist) || errors.Is(ferr, ErrMigrated), ferr)
-				return
+			if !data {
+				continue
 			}
-			s.manager.probe.Chunk(elements)
 			// Acks carry the absolute applied cursor, so under a burst one
 			// ack can cover every chunk in it: defer to the loop-top
 			// drain point rather than paying the progress-snapshot and
 			// write-lock cost per frame. The chunk bound keeps the cursor
 			// moving for a client that never lets the input run dry.
-			pendingAck += elements
+			pendingAck += ct.Elements
 			if pendingChunks++; pendingChunks >= 32 {
 				if !sc.writeAck(pendingAck) {
 					return
 				}
 				pendingAck, pendingChunks = 0, 0
-			}
-
-		case trace.FrameSyms:
-			payload, err := fr.Payload()
-			if err != nil {
-				return
-			}
-			var start uint64
-			var derr error
-			start, symsBuf, derr = trace.DecodeSymsPayload(symsBuf[:0], payload)
-			if derr != nil {
-				if !sc.sendErr(true, derr) {
-					return
-				}
-				continue
-			}
-			if err := sess.ExtendSymbols(sc.gen, payload, start, symsBuf); err != nil {
-				sc.sendErr(errors.Is(err, ErrPersist) || errors.Is(err, ErrMigrated), err)
-				return
 			}
 
 		case trace.FrameEnd:

@@ -280,6 +280,12 @@ func TestStreamModeConflict(t *testing.T) {
 // HelloAck.
 func rawStream(t *testing.T, addr, id string) (net.Conn, *trace.FrameReader) {
 	t.Helper()
+	return rawStreamHello(t, addr, id, `{"mode":"branch"}`)
+}
+
+// rawStreamHello is rawStream with the given JSON hello payload.
+func rawStreamHello(t *testing.T, addr, id, hello string) (net.Conn, *trace.FrameReader) {
+	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +303,7 @@ func rawStream(t *testing.T, addr, id string) (net.Conn, *trace.FrameReader) {
 	if resp.StatusCode != http.StatusSwitchingProtocols {
 		t.Fatalf("upgrade: status %d", resp.StatusCode)
 	}
-	if _, err := conn.Write(trace.AppendFrame(nil, trace.FrameHello, []byte(`{"mode":"branch"}`))); err != nil {
+	if _, err := conn.Write(trace.AppendFrame(nil, trace.FrameHello, []byte(hello))); err != nil {
 		t.Fatal(err)
 	}
 	fr := trace.NewFrameReader(br, 0)
@@ -584,7 +590,7 @@ func TestSymbolFramesExtendDetectorTable(t *testing.T) {
 	}
 	a, b, c, d := trace.MakeBranch(0, 1, true), trace.MakeBranch(0, 2, true), trace.MakeBranch(0, 3, true), trace.MakeBranch(0, 4, true)
 	extend := func(start uint64, syms ...trace.Branch) error {
-		return s.ExtendSymbols(0, trace.AppendSymsPayload(nil, start, syms), start, syms)
+		return ingestOne(s, trace.FrameSyms, trace.AppendSymsPayload(nil, start, syms))
 	}
 	if err := extend(0, a, b); err != nil {
 		t.Fatal(err)
@@ -611,8 +617,7 @@ func TestSymbolFramesExtendDetectorTable(t *testing.T) {
 		t.Fatalf("table %v (count %d), want %v", s.det.Symbols(), s.SymbolCount(), want)
 	}
 	ids := []int32{0, 1, 2, 1}
-	var ct telemetry.ChunkTrace
-	if err := s.FeedIDsTraced(0, trace.AppendIDsPayload(nil, ids), ids, &ct); err != nil {
+	if err := ingestOne(s, trace.FrameIDs, trace.AppendIDsPayload(nil, ids)); err != nil {
 		t.Fatal(err)
 	}
 	abandon(m)

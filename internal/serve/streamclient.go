@@ -107,7 +107,6 @@ type StreamClient struct {
 	acked       uint64 // server's applied cursor from the latest ack
 	inPhase     bool
 	eventsTotal uint64
-	lastEvent   uint64
 	summary     *Summary
 	err         error
 	done        bool
@@ -194,9 +193,6 @@ func DialStream(addr, sessionID string, opts StreamOptions) (*StreamClient, erro
 	c.symsSent = ack.Symbols
 	c.eventsTotal = ack.EventsTotal
 	c.degraded = ack.Degraded
-	if opts.EventsSince > 0 {
-		c.lastEvent = opts.EventsSince - 1
-	}
 	go c.readLoop()
 	return c, nil
 }
@@ -361,14 +357,6 @@ func (c *StreamClient) Degraded() bool {
 	return c.degraded
 }
 
-// LastEventSeq returns the sequence number of the last event delivered,
-// for resuming event delivery on reconnect (EventsSince = seq + 1).
-func (c *StreamClient) LastEventSeq() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastEvent
-}
-
 // Progress returns the latest acknowledged state: the server's applied
 // cursor, whether the detector is in a phase, and total events emitted.
 func (c *StreamClient) Progress() (acked uint64, inPhase bool, eventsTotal uint64) {
@@ -417,7 +405,6 @@ func (c *StreamClient) readLoop() {
 				return
 			}
 			c.mu.Lock()
-			c.lastEvent = ev.Seq
 			c.eventsTotal = ev.Seq + 1
 			c.mu.Unlock()
 			if c.onEvent != nil {
