@@ -520,25 +520,11 @@ func (g *Gateway) proxySession(w http.ResponseWriter, r *http.Request) {
 // flight — into a retryable 503 whenever the gateway still routes the
 // session.
 func (g *Gateway) forwardSSE(w http.ResponseWriter, r *http.Request, node, id string) {
-	req, err := http.NewRequestWithContext(r.Context(), r.Method,
-		"http://"+node+r.URL.RequestURI(), r.Body)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	req.Header = r.Header.Clone()
-	resp, err := g.client.Do(req)
-	if err != nil {
-		g.probe.Request(true)
-		g.prober.ReportError(node)
-		if r.Context().Err() == nil {
-			writeError(w, http.StatusBadGateway, fmt.Errorf("cluster: node %s: %w", node, err))
-		}
+	resp := g.roundTrip(w, r, node)
+	if resp == nil {
 		return
 	}
 	defer resp.Body.Close()
-	g.probe.Request(false)
-	g.prober.ReportOK(node)
 	if resp.StatusCode == http.StatusNotFound && g.lookup(id) != nil {
 		writeError(w, http.StatusServiceUnavailable,
 			fmt.Errorf("cluster: session %q re-homed mid-subscribe; retry", id))
@@ -548,7 +534,9 @@ func (g *Gateway) forwardSSE(w http.ResponseWriter, r *http.Request, node, id st
 }
 
 // handleClose proxies the DELETE and drops the routing entry once the
-// node confirms (2xx terminal summary, or 404 — already gone).
+// node confirms (2xx terminal summary, or 404 — already gone). The entry
+// goes before the reply is relayed: a client that has seen its close
+// must not find the session still routed.
 func (g *Gateway) handleClose(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	e := g.lookup(id)
@@ -565,21 +553,35 @@ func (g *Gateway) handleClose(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("cluster: session %q homed on unreachable node %s", id, node))
 		return
 	}
-	status := g.forward(w, r, node)
-	e.mu.RUnlock()
-	if status/100 == 2 || status == http.StatusNotFound {
+	defer e.mu.RUnlock()
+	resp := g.roundTrip(w, r, node)
+	if resp == nil {
+		return
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode/100 == 2 || resp.StatusCode == http.StatusNotFound {
 		g.unregister(id)
+	}
+	relay(w, resp)
+}
+
+// forward proxies one plain HTTP request to a node.
+func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, node string) {
+	if resp := g.roundTrip(w, r, node); resp != nil {
+		defer resp.Body.Close()
+		relay(w, resp)
 	}
 }
 
-// forward proxies one plain HTTP request to a node, returning the
-// upstream status (0 on transport failure).
-func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, node string) int {
+// roundTrip sends r on to node and returns the node's response, whose
+// body the caller closes. On failure it answers w itself and returns
+// nil.
+func (g *Gateway) roundTrip(w http.ResponseWriter, r *http.Request, node string) *http.Response {
 	req, err := http.NewRequestWithContext(r.Context(), r.Method,
 		"http://"+node+r.URL.RequestURI(), r.Body)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
-		return 0
+		return nil
 	}
 	req.Header = r.Header.Clone()
 	resp, err := g.client.Do(req)
@@ -590,11 +592,9 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, node string) i
 		if r.Context().Err() == nil {
 			writeError(w, http.StatusBadGateway, fmt.Errorf("cluster: node %s: %w", node, err))
 		}
-		return 0
+		return nil
 	}
-	defer resp.Body.Close()
 	g.probe.Request(false)
 	g.prober.ReportOK(node)
-	relay(w, resp)
-	return resp.StatusCode
+	return resp
 }

@@ -85,7 +85,7 @@ func NewSetModel(kind ModelKind, cwSize, twSize int, policy TWPolicy, anchor Anc
 	}
 }
 
-// UsePool attaches a sweep pool: the window counter slices and ring
+// UsePool attaches a sweep pool: the window counter slices and window
 // buffer are acquired from it at the first BindSymbols and returned by
 // ReleaseBuffers. Attach before any elements are consumed.
 func (m *SetModel) UsePool(p *SweepPool) { m.win.pool = p }
@@ -124,7 +124,10 @@ func (m *SetModel) ComputeSimilarity() (float64, bool) {
 	return m.win.unweightedSimilarity(), true
 }
 
-// AnchorTrailingWindow implements Model.
+// AnchorTrailingWindow implements Model. An anchored Adaptive TW is held
+// as element counts, not elements, so anchoring it again before
+// ClearWindows sees no stored TW elements: the whole TW is kept and the
+// anchor is its start. The detector anchors only from T, after a clear.
 func (m *SetModel) AnchorTrailingWindow() int64 {
 	idx := m.win.anchorIndex(m.anchor)
 	return m.win.anchorAt(idx, m.resize)

@@ -30,9 +30,9 @@ import (
 //	     detector  flag byte (finished/inPhase/haveSim/state); stream
 //	               counters; pending group; raw + adjusted phase lists
 //	     analyzer  running statistics (Average count+sum; Threshold none)
-//	     model     symbol table (id -> Branch); window buffer (dense IDs);
-//	               TW length, window stream indices, anchored/filled flags;
-//	               overlap set in maintained order
+//	     model     symbol table (id -> Branch); window buffer (dense IDs,
+//	               TW then CW); TW length, window stream indices,
+//	               anchored/filled flags; overlap set in maintained order
 //	u32  CRC-32C over every preceding byte
 //
 // The overlap set is persisted verbatim (not recomputed) because weighted
@@ -40,6 +40,9 @@ import (
 // reproducing the bits of every future similarity value requires
 // reproducing that order exactly. The window counter slices, by contrast,
 // are pure functions of the window buffer and are rebuilt on restore.
+// An anchored TW is held as counts, so its part of the buffer is written
+// grouped by ID in ID order; restore rebuilds the same counts from any
+// order, and nothing reads an anchored TW's order.
 
 // SnapshotVersion is the current detector snapshot encoding version.
 const SnapshotVersion = 1
@@ -154,7 +157,14 @@ func (d *Detector) Snapshot() ([]byte, error) {
 	}
 	win := sm.win
 	live := win.buf[win.head:]
-	w.uvarint(uint64(len(live)))
+	w.uvarint(uint64(win.twLen - win.tws + len(live)))
+	if win.anchored {
+		for id, c := range win.twCounts {
+			for ; c > 0; c-- {
+				w.uvarint(uint64(id))
+			}
+		}
+	}
 	for _, id := range live {
 		w.uvarint(uint64(id))
 	}
@@ -265,14 +275,14 @@ func RestoreDetector(data []byte) (*Detector, Config, error) {
 		table = append(table, trace.Branch(r.uvarint()))
 	}
 	win := sm.win
+	// The window buffer is checked here and decoded again below, once
+	// the TW length and anchored flag that split it are known.
 	nBuf := r.uvarint()
-	win.buf = make([]int32, 0, capAlloc(nBuf))
+	bufAt := r.off
 	for i := uint64(0); i < nBuf && r.err == nil; i++ {
-		id := r.uvarint()
-		if id >= nTable {
+		if id := r.uvarint(); id >= nTable {
 			return nil, cfg, fmt.Errorf("%w: window element id %d outside intern table of %d", ErrSnapshot, id, nTable)
 		}
-		win.buf = append(win.buf, int32(id))
 	}
 	twLen := r.uvarint()
 	win.firstIndex = r.varint()
@@ -293,8 +303,14 @@ func RestoreDetector(data []byte) (*Detector, Config, error) {
 	if r.off != len(r.buf) {
 		return nil, cfg, fmt.Errorf("%w: %d trailing bytes", ErrSnapshot, len(r.buf)-r.off)
 	}
-	if twLen > uint64(len(win.buf)) {
-		return nil, cfg, fmt.Errorf("%w: TW length %d exceeds window buffer %d", ErrSnapshot, twLen, len(win.buf))
+	anchored := wflags&snapAnchored != 0
+	switch {
+	case twLen > nBuf:
+		return nil, cfg, fmt.Errorf("%w: TW length %d exceeds window buffer %d", ErrSnapshot, twLen, nBuf)
+	case nBuf-twLen > uint64(win.cwSize):
+		return nil, cfg, fmt.Errorf("%w: CW length %d exceeds CW size %d", ErrSnapshot, nBuf-twLen, win.cwSize)
+	case !anchored && twLen > uint64(win.twSize):
+		return nil, cfg, fmt.Errorf("%w: unanchored TW length %d exceeds TW size %d", ErrSnapshot, twLen, win.twSize)
 	}
 
 	// Rebuild the derived state: the detector's table and index from the
@@ -312,16 +328,28 @@ func RestoreDetector(data []byte) (*Detector, Config, error) {
 	for _, b := range pending {
 		d.pending = append(d.pending, d.table.Intern(b))
 	}
-	win.head = 0
 	win.twLen = int(twLen)
-	win.anchored = wflags&snapAnchored != 0
+	win.anchored = anchored
 	win.filled = wflags&snapFilled != 0
 	d.bindTable(d.table)
-	for _, id := range win.buf[:twLen] {
-		win.twCounts[id]++
+	// An anchored TW is rebuilt as counts alone; buf keeps the CW and
+	// an unanchored TW.
+	if !anchored {
+		win.tws = win.twLen
 	}
-	for _, id := range win.buf[twLen:] {
-		win.cwCounts[id]++
+	win.buf = make([]int32, 0, win.tws+int(nBuf-twLen))
+	br := snapReader{buf: r.buf, off: bufAt}
+	for i := uint64(0); i < nBuf; i++ {
+		id := int32(br.uvarint())
+		if i < twLen {
+			win.twCounts[id]++
+			if anchored {
+				continue
+			}
+		} else {
+			win.cwCounts[id]++
+		}
+		win.buf = append(win.buf, id)
 	}
 	win.overlapIDs = overlap
 	for i, id := range overlap {

@@ -1,11 +1,19 @@
 package core
 
 // windows maintains the trailing window and current window over the
-// element stream as one contiguous buffer: buf[head : head+twLen] is the
-// TW and everything after it is the CW. Elements are dense IDs into the
-// detector's symbol table, so all multiset counters are plain slices and
-// consuming one element costs O(1) array operations regardless of window
-// sizes.
+// element stream as one contiguous buffer: buf[head : head+tws] holds
+// the TW's stored elements and everything after it is the CW. Elements
+// are dense IDs into the detector's symbol table, so all multiset
+// counters are plain slices and consuming one element costs O(1) array
+// operations regardless of window sizes.
+//
+// Both similarity models read only the window counts, and an anchored
+// Adaptive TW's order is never read before clear, so an anchored TW is
+// held as its counts alone: anchorAt drops its elements from buf, and
+// every element that later crosses from the CW into it leaves buf too.
+// Until then the TW stores all its elements (tws == twLen). buf thus
+// holds at most CW+TW+1 live elements, and makeRoom keeps its capacity
+// within twice that, however long a phase lasts.
 type windows struct {
 	cwSize int
 	twSize int
@@ -13,8 +21,9 @@ type windows struct {
 
 	buf        []int32
 	head       int
-	twLen      int
-	firstIndex int64 // global stream index of buf[head]
+	tws        int   // TW elements stored in buf: twLen, or 0 once anchored
+	twLen      int   // TW length, stored or held as counts
+	firstIndex int64 // global stream index of the TW's first element
 	nextIndex  int64 // global stream index of the next element pushed
 
 	cwCounts   []int32
@@ -29,7 +38,7 @@ type windows struct {
 	overlapIDs []int32 // ids present in both windows, unordered
 	overlapPos []int32 // id -> index+1 in overlapIDs (0 = absent)
 
-	anchored bool // AdaptiveTW: in phase, TW grows without bound
+	anchored bool // AdaptiveTW: in phase, TW grows without bound, held as counts
 	filled   bool // both windows have filled since the last clear
 
 	pool *SweepPool // when set, counter slices and buf come from the pool
@@ -39,7 +48,29 @@ func newWindows(cwSize, twSize int, policy TWPolicy) *windows {
 	return &windows{cwSize: cwSize, twSize: twSize, policy: policy}
 }
 
-func (w *windows) cwLen() int { return len(w.buf) - w.head - w.twLen }
+func (w *windows) cwLen() int { return len(w.buf) - w.head - w.tws }
+
+// maxBuf is the capacity makeRoom never lets buf exceed: twice the most
+// live elements it holds, a full CW and TW plus the element being pushed.
+func (w *windows) maxBuf() int { return 2 * (w.cwSize + w.twSize + 1) }
+
+// makeRoom frees space at the end of a full buf. Once the dead prefix is
+// at least as long as the live elements it slides them to the front, so
+// a slide copies no more elements than the pushes that filled the
+// prefix; otherwise it doubles the capacity, up to maxBuf. Before a push
+// buf holds at most CW+TW live elements, so at maxBuf the prefix always
+// wins.
+func (w *windows) makeRoom() {
+	live := len(w.buf) - w.head
+	if w.head > 0 && w.head >= live {
+		w.buf = w.buf[:copy(w.buf, w.buf[w.head:])]
+		w.head = 0
+		return
+	}
+	buf := make([]int32, live, min(max(2*cap(w.buf), 16), w.maxBuf()))
+	copy(buf, w.buf[w.head:])
+	w.buf, w.head = buf, 0
+}
 
 // grow ensures the counter slices cover IDs in [0, n). A pooled window's
 // first slices come from the pool, which sizes them for the whole trace
@@ -152,23 +183,32 @@ func (w *windows) pushAll(ids []int32) { w.feed(ids, 1, nil) }
 func (w *windows) feed(ids []int32, skip int, d *Detector) (n int, undecided bool) {
 	left := skip
 	for i, id := range ids {
+		if len(w.buf) == cap(w.buf) {
+			w.makeRoom()
+		}
 		w.buf = append(w.buf, id)
 		w.nextIndex++
 		w.addCW(id)
 		if w.cwLen() > w.cwSize {
-			// CW front crosses into the TW.
-			moved := w.buf[w.head+w.twLen]
+			// CW front crosses into the TW; an anchored TW keeps only
+			// its count.
+			moved := w.buf[w.head+w.tws]
 			w.removeCW(moved)
 			w.addTW(moved)
 			w.twLen++
+			if w.anchored {
+				w.head++
+			} else {
+				w.tws++
+			}
 		}
 		if w.twLen > w.twSize && !w.anchored {
 			dropped := w.buf[w.head]
 			w.removeTW(dropped)
 			w.head++
+			w.tws--
 			w.twLen--
 			w.firstIndex++
-			w.compact()
 		}
 		if !w.filled && w.cwLen() == w.cwSize && w.twLen >= w.twSize {
 			w.filled = true
@@ -185,15 +225,6 @@ func (w *windows) feed(ids []int32, skip int, d *Detector) (n int, undecided boo
 		}
 	}
 	return len(ids), false
-}
-
-// compact reclaims the dead prefix of buf once it dominates the slice.
-func (w *windows) compact() {
-	if w.head >= 4096 && w.head > len(w.buf)/2 {
-		n := copy(w.buf, w.buf[w.head:])
-		w.buf = w.buf[:n]
-		w.head = 0
-	}
 }
 
 // ready reports whether similarity may be computed: both windows must have
@@ -238,9 +269,10 @@ func (w *windows) weightedSimilarity() float64 {
 // anchorIndex locates the anchor point within the TW under the given
 // policy. Noisy elements are TW elements absent from the CW. The returned
 // index is relative to the TW start (0 keeps the whole TW; twLen drops all
-// of it).
+// of it). An anchored TW stores no elements, so it scans none and keeps
+// the whole TW.
 func (w *windows) anchorIndex(policy AnchorPolicy) int {
-	tw := w.buf[w.head : w.head+w.twLen]
+	tw := w.buf[w.head : w.head+w.tws]
 	switch policy {
 	case AnchorRN:
 		for i := len(tw) - 1; i >= 0; i-- {
@@ -261,8 +293,8 @@ func (w *windows) anchorIndex(policy AnchorPolicy) int {
 
 // anchorAt restructures the windows around TW index idx per the resize
 // policy and, for the Adaptive policy, marks the TW unbounded for the
-// duration of the phase. It returns the global stream position of the
-// anchor.
+// duration of the phase and drops its elements from buf, keeping their
+// counts. It returns the global stream position of the anchor.
 func (w *windows) anchorAt(idx int, resize ResizePolicy) int64 {
 	pos := w.firstIndex + int64(idx)
 	if w.policy != AdaptiveTW {
@@ -274,6 +306,7 @@ func (w *windows) anchorAt(idx int, resize ResizePolicy) int64 {
 	for i := 0; i < idx; i++ {
 		w.removeTW(w.buf[w.head])
 		w.head++
+		w.tws--
 		w.twLen--
 		w.firstIndex++
 	}
@@ -281,13 +314,15 @@ func (w *windows) anchorAt(idx int, resize ResizePolicy) int64 {
 		// Slide the TW right over the CW until the TW regains its nominal
 		// size, shrinking the CW (it refills as new elements arrive).
 		for w.twLen < w.twSize && w.cwLen() > 0 {
-			moved := w.buf[w.head+w.twLen]
+			moved := w.buf[w.head+w.tws]
 			w.removeCW(moved)
 			w.addTW(moved)
+			w.tws++
 			w.twLen++
 		}
 	}
-	w.compact()
+	w.head += w.tws
+	w.tws = 0
 	w.anchored = true
 	return pos
 }
@@ -295,8 +330,8 @@ func (w *windows) anchorAt(idx int, resize ResizePolicy) int64 {
 // clear flushes both windows (end of phase) and reinitializes the CW with
 // the most recent skipFactor elements, per Figure 2's row G.
 func (w *windows) clear(lastBatch []int32) {
-	w.buf = w.buf[:0]
 	w.head = 0
+	w.tws = 0
 	w.twLen = 0
 	w.cwDistinct = 0
 	for _, id := range w.overlapIDs {
@@ -310,8 +345,8 @@ func (w *windows) clear(lastBatch []int32) {
 	w.anchored = false
 	w.filled = false
 	w.firstIndex = w.nextIndex - int64(len(lastBatch))
+	w.buf = append(w.buf[:0], lastBatch...)
 	for _, id := range lastBatch {
-		w.buf = append(w.buf, id)
 		w.addCW(id)
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"opd/internal/trace"
@@ -327,5 +329,142 @@ func TestCompaction(t *testing.T) {
 	}
 	if w.firstIndex != 50000-8 {
 		t.Errorf("firstIndex = %d, want %d", w.firstIndex, 50000-8)
+	}
+}
+
+// longPhaseTrace is 3,000 noisy elements, each new, then n elements
+// drawn from 50 sites: the detector enters one phase and stays in it.
+func longPhaseTrace(n int) trace.Trace {
+	tr := make(trace.Trace, 0, 3000+n)
+	for i := 0; i < 3000; i++ {
+		tr = append(tr, trace.MakeBranch(1, i, true))
+	}
+	rng := uint64(5)
+	for i := 0; i < n; i++ {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		tr = append(tr, trace.MakeBranch(0, int(rng>>33)%50, true))
+	}
+	return tr
+}
+
+// TestWindowMemoryBound pins that window storage is O(CW+TW): through a
+// phase of a million elements the window buffer's capacity stays within
+// 2·(CW+TW+1) elements, whether the TW is constant or an anchored
+// Adaptive TW that grows to hold the whole phase.
+func TestWindowMemoryBound(t *testing.T) {
+	tr := longPhaseTrace(1_000_000)
+	for _, cfg := range []Config{
+		{CWSize: 500, SkipFactor: 8, TW: AdaptiveTW, Anchor: AnchorRN, Resize: ResizeSlide,
+			Model: UnweightedModel, Analyzer: ThresholdAnalyzer, Param: 0.6},
+		{CWSize: 300, TWSize: 700, SkipFactor: 1, TW: AdaptiveTW, Anchor: AnchorLNN, Resize: ResizeMove,
+			Model: WeightedModel, Analyzer: AverageAnalyzer, Param: 0.3},
+		{CWSize: 100, SkipFactor: 4, TW: ConstantTW, Model: WeightedModel, Analyzer: ThresholdAnalyzer, Param: 0.5},
+		{CWSize: 500, SkipFactor: 1, TW: ConstantTW, Model: UnweightedModel, Analyzer: AverageAnalyzer, Param: 0.3},
+	} {
+		d := cfg.MustNew()
+		w := d.sm.win
+		bound := 2 * (w.cwSize + w.twSize + 1)
+		most := 0
+		for i := 0; i < len(tr); i += 4096 {
+			d.ProcessBatch(tr[i:min(i+4096, len(tr))])
+			most = max(most, cap(w.buf))
+		}
+		if cfg.TW == AdaptiveTW && (!w.anchored || len(d.Phases()) != 0 || w.twLen < 900_000) {
+			t.Fatalf("%s: the trace must hold the detector in its first phase (anchored %v, %d phases closed, TW %d)",
+				cfg.ID(), w.anchored, len(d.Phases()), w.twLen)
+		}
+		if most > bound {
+			t.Errorf("%s: window buffer reached %d slots, bound 2·(CW+TW+1) = %d", cfg.ID(), most, bound)
+		}
+	}
+}
+
+// TestSnapshotMidPhaseRoundTrip pins the anchored TW's snapshot form: a
+// snapshot cut deep in a phase restores within the memory bound,
+// re-snapshots to identical bytes, and continues to the uninterrupted
+// run's output.
+func TestSnapshotMidPhaseRoundTrip(t *testing.T) {
+	tr := longPhaseTrace(200_000)
+	tr = append(tr, batchTestTrace(20000)...)
+	for _, cfg := range []Config{
+		{CWSize: 400, TWSize: 600, SkipFactor: 16, TW: AdaptiveTW, Anchor: AnchorRN, Resize: ResizeSlide,
+			Model: WeightedModel, Analyzer: AverageAnalyzer, Param: 0.3},
+		{CWSize: 250, SkipFactor: 1, TW: AdaptiveTW, Anchor: AnchorLNN, Resize: ResizeMove,
+			Model: UnweightedModel, Analyzer: ThresholdAnalyzer, Param: 0.6},
+		{CWSize: 250, SkipFactor: 5, TW: ConstantTW, Model: WeightedModel, Analyzer: ThresholdAnalyzer, Param: 0.5},
+	} {
+		var wantEvents, gotEvents []eventRec
+		want := cfg.MustNew()
+		recordHooks(want, &wantEvents)
+		feedChunks(t, want, tr, -1, nil)
+
+		const cut = 120_003
+		d := cfg.MustNew()
+		recordHooks(d, &gotEvents)
+		d.ProcessBatch(tr[:cut])
+		if !d.State().IsPhase() {
+			t.Fatalf("%s: the cut must fall mid-phase", cfg.ID())
+		}
+		snap, err := d.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, _, err := RestoreDetector(snap)
+		if err != nil {
+			t.Fatalf("%s: restore: %v", cfg.ID(), err)
+		}
+		again, err := r.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(again, snap) {
+			t.Fatalf("%s: Snapshot → Restore → Snapshot changed the bytes (%d → %d)", cfg.ID(), len(snap), len(again))
+		}
+		w := r.sm.win
+		if bound := 2 * (w.cwSize + w.twSize + 1); cap(w.buf) > bound {
+			t.Errorf("%s: restored window buffer has %d slots, bound %d", cfg.ID(), cap(w.buf), bound)
+		}
+		recordHooks(r, &gotEvents)
+		for i := cut; i < len(tr); i += 1000 {
+			r.ProcessBatch(tr[i:min(i+1000, len(tr))])
+		}
+		r.Finish()
+		if r.SimilarityComputations() != want.SimilarityComputations() ||
+			!equalIntervals(r.Phases(), want.Phases()) || !equalIntervals(r.AdjustedPhases(), want.AdjustedPhases()) ||
+			math.Float64bits(r.Confidence()) != math.Float64bits(want.Confidence()) {
+			t.Errorf("%s: restored run diverges: sims %d/%d phases %v/%v adjusted %v/%v",
+				cfg.ID(), r.SimilarityComputations(), want.SimilarityComputations(),
+				r.Phases(), want.Phases(), r.AdjustedPhases(), want.AdjustedPhases())
+		}
+		if !slices.Equal(gotEvents, wantEvents) {
+			t.Errorf("%s: events diverge:\n got %v\nwant %v", cfg.ID(), gotEvents, wantEvents)
+		}
+	}
+}
+
+// TestRestoreRejectsOversizedWindows pins that a snapshot whose CW
+// exceeds CWSize, or whose unanchored TW exceeds TWSize, is refused with
+// ErrSnapshot: either would break the window memory bound.
+func TestRestoreRejectsOversizedWindows(t *testing.T) {
+	cfg := Config{CWSize: 50, TWSize: 60, SkipFactor: 1, TW: AdaptiveTW, Model: UnweightedModel,
+		Analyzer: ThresholdAnalyzer, Param: 0.6}
+	tr := longPhaseTrace(0)[:500] // all noise: the TW never anchors
+	for _, grow := range []func(w *windows){
+		func(w *windows) { w.cwSize += 10 },
+		func(w *windows) { w.twSize += 10 },
+	} {
+		d := cfg.MustNew()
+		w := d.sm.win
+		cw, tw := w.cwSize, w.twSize
+		grow(w)
+		d.ProcessBatch(tr)
+		w.cwSize, w.twSize = cw, tw
+		snap, err := d.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := RestoreDetector(snap); !errors.Is(err, ErrSnapshot) {
+			t.Errorf("oversized windows (CW %d, TW %d of %d/%d) restored: %v", w.cwLen(), w.twLen, cw, tw, err)
+		}
 	}
 }

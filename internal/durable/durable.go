@@ -92,7 +92,8 @@ type Options struct {
 	// Registry receives opd_durable_* telemetry. nil disables it.
 	Registry *telemetry.Registry
 	// Hook, when non-nil, runs before each disk operation with the
-	// operation name ("append", "fsync", "snapshot"); a non-nil return
+	// operation name ("append", "fsync", "snapshot", and "truncate" for
+	// cutting a failed append back out of its segment); a non-nil return
 	// fails the operation with that error. It exists as a fault-injection
 	// seam — chaos tests arm it to simulate a failing disk without
 	// filesystem tricks. nil (the default) costs one branch.

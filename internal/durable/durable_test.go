@@ -488,3 +488,57 @@ func TestOversizedRecordEndsPrefix(t *testing.T) {
 	r := recoverOne(t, testStore(t, Options{Dir: dir}), "big")
 	wantRecords(t, r.Records, [][]byte{[]byte("fine")})
 }
+
+// TestFailedAppendLeavesNoRecord pins that a refused append is not on
+// disk: the record is written before its fsync, so a failed fsync must
+// cut it back out. Otherwise the caller's retry appends it a second time
+// and recovery replays the chunk twice. If the cut itself fails, the log
+// refuses every later append and snapshot.
+func TestFailedAppendLeavesNoRecord(t *testing.T) {
+	dir := t.TempDir()
+	chaos := faultinject.NewDiskChaos()
+	s := testStore(t, Options{Dir: dir, Hook: chaos.Hook})
+	log, err := s.Create("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Snapshot([]byte("base")); err != nil {
+		t.Fatal(err)
+	}
+	recs := payloads(3)
+	if _, err := log.Append(recs[0]); err != nil {
+		t.Fatal(err)
+	}
+	chaos.Fail(fmt.Errorf("injected"), "fsync")
+	if _, err := log.Append(recs[1]); err == nil {
+		t.Fatal("append with a failing fsync succeeded")
+	}
+	if got := log.NextIndex(); got != 1 {
+		t.Fatalf("NextIndex after a failed append = %d, want 1", got)
+	}
+	chaos.Heal()
+	if _, err := log.Append(recs[1]); err != nil {
+		t.Fatal(err)
+	}
+
+	// A failed append whose cut-back fails too breaks the log.
+	chaos.Fail(fmt.Errorf("injected"), "fsync", "truncate")
+	if _, err := log.Append(recs[2]); err == nil {
+		t.Fatal("append with a failing fsync succeeded")
+	}
+	chaos.Heal()
+	if _, err := log.Append(recs[2]); err == nil {
+		t.Error("a log that could not cut back a failed append accepted another")
+	}
+	if err := log.Snapshot([]byte("state")); err == nil {
+		t.Error("a log that could not cut back a failed append took a snapshot")
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r := recoverOne(t, testStore(t, Options{Dir: dir}), "x")
+	// The stray record 2 stays in the segment of the broken log; only
+	// the cut-back path keeps record 1 from appearing twice.
+	wantRecords(t, r.Records, recs)
+}

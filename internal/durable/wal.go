@@ -2,6 +2,7 @@ package durable
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -39,6 +40,10 @@ type SessionLog struct {
 	segStarts []uint64 // first record index of each live segment, ascending
 	lastSync  time.Time
 	closed    bool
+	// broken latches when a failed append could not be cut back out of
+	// its segment: the log then refuses every append and snapshot, since
+	// replay would apply the record its caller was told failed.
+	broken error
 	// frameBuf is the reusable record-assembly buffer: header plus
 	// payload parts gather here so an append is one file write and zero
 	// allocations in steady state.
@@ -135,7 +140,10 @@ type AppendStats struct {
 // Append writes one record to the WAL and makes it as durable as the
 // configured fsync policy promises: SyncAlways fsyncs before returning,
 // SyncInterval fsyncs when at least the configured interval has passed
-// since the last fsync, SyncNever leaves flushing to the OS. The record's
+// since the last fsync, SyncNever leaves flushing to the OS. A failed
+// append leaves no record behind: a write or fsync error cuts the
+// segment back to its size before the append, and the record index does
+// not advance, so the caller's retry takes the same index. The record's
 // payload is the concatenation of parts: the streaming ingest path hands
 // the record-type prefix and the wire payload as separate parts and pays
 // no intermediate copy or allocation (the record assembles in the log's
@@ -150,6 +158,9 @@ func (l *SessionLog) Append(parts ...[]byte) (AppendStats, error) {
 	if l.closed {
 		return stats, fmt.Errorf("durable: append to closed log %s", l.dir)
 	}
+	if l.broken != nil {
+		return stats, l.broken
+	}
 	if l.opts.Hook != nil {
 		if err := l.opts.Hook("append"); err != nil {
 			return stats, fmt.Errorf("durable: appending record %d: %w", l.nextIdx, err)
@@ -163,30 +174,51 @@ func (l *SessionLog) Append(parts ...[]byte) (AppendStats, error) {
 	frame := appendRecordMulti(l.frameBuf[:0], parts)
 	l.frameBuf = frame[:0]
 	if _, err := l.f.Write(frame); err != nil {
-		return stats, fmt.Errorf("durable: appending record %d: %w", l.nextIdx, err)
+		return stats, l.cutBack(fmt.Errorf("durable: appending record %d: %w", l.nextIdx, err))
 	}
-	l.segSize += int64(len(frame))
-	l.nextIdx++
 	stats.WriteNS = time.Since(t0).Nanoseconds()
 	l.probe.Append(int64(len(frame)), stats.WriteNS)
 	switch l.opts.Policy {
 	case SyncAlways:
 		ns, err := l.syncFile(l.f)
 		if err != nil {
-			return stats, fmt.Errorf("durable: fsync after record %d: %w", l.nextIdx-1, err)
+			return stats, l.cutBack(fmt.Errorf("durable: fsync after record %d: %w", l.nextIdx, err))
 		}
 		stats.FsyncNS = ns
 	case SyncInterval:
 		if now := time.Now(); now.Sub(l.lastSync) >= l.opts.SyncInterval {
 			ns, err := l.syncFile(l.f)
 			if err != nil {
-				return stats, fmt.Errorf("durable: fsync after record %d: %w", l.nextIdx-1, err)
+				return stats, l.cutBack(fmt.Errorf("durable: fsync after record %d: %w", l.nextIdx, err))
 			}
 			stats.FsyncNS = ns
 			l.lastSync = now
 		}
 	}
+	l.segSize += int64(len(frame))
+	l.nextIdx++
 	return stats, nil
+}
+
+// cutBack undoes a failed append by truncating the open segment to its
+// size before the append and moving the write offset back there, and
+// returns err. If either step fails, the log is broken.
+func (l *SessionLog) cutBack(err error) error {
+	var cerr error
+	if l.opts.Hook != nil {
+		cerr = l.opts.Hook("truncate")
+	}
+	if cerr == nil {
+		cerr = l.f.Truncate(l.segSize)
+	}
+	if cerr == nil {
+		_, cerr = l.f.Seek(l.segSize, io.SeekStart)
+	}
+	if cerr != nil {
+		l.broken = fmt.Errorf("durable: log %s refuses appends: cutting back record %d failed: %w (after %w)",
+			l.dir, l.nextIdx, cerr, err)
+	}
+	return err
 }
 
 // Snapshot atomically persists a session snapshot covering every record
@@ -198,6 +230,9 @@ func (l *SessionLog) Snapshot(payload []byte) error {
 	defer l.mu.Unlock()
 	if l.closed {
 		return fmt.Errorf("durable: snapshot on closed log %s", l.dir)
+	}
+	if l.broken != nil {
+		return l.broken
 	}
 	idx := l.nextIdx
 	t0 := time.Now()

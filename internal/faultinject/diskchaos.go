@@ -20,8 +20,8 @@ type DiskChaos struct {
 func NewDiskChaos() *DiskChaos { return &DiskChaos{} }
 
 // Fail arms the injector: the named operations ("append", "fsync",
-// "snapshot") fail with err until Heal. No names means all operations
-// fail.
+// "snapshot", "truncate") fail with err until Heal. No names means all
+// operations fail.
 func (c *DiskChaos) Fail(err error, ops ...string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

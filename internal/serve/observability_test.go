@@ -87,9 +87,10 @@ func TestStageMetricsExposed(t *testing.T) {
 // over a durable dense-ID stream, each IDs frame — applied or
 // decode-rejected — leaves one flight trace with contiguous Seq, the
 // latency histograms and the elements counter see the applied chunks
-// only, and syms frames leave no trace at all. WAL replay adds nothing:
-// a session recovered on a fresh registry starts every count at zero
-// with the live session's consumed count.
+// only, and syms frames leave no trace at all. The rejected frame ends
+// its connection, and the stream continues on a reconnect. WAL replay
+// adds nothing: a session recovered on a fresh registry starts every
+// count at zero with the live session's consumed count.
 func TestStreamChunkCounters(t *testing.T) {
 	const n = 12
 	dir := t.TempDir()
@@ -108,13 +109,14 @@ func TestStreamChunkCounters(t *testing.T) {
 	if status != http.StatusCreated {
 		t.Fatalf("open: status %d", status)
 	}
-	conn, fr := rawStreamHello(t, streamAddr(c), id, `{"mode":"ids","no_events":true}`)
-	defer conn.Close()
+	const hello = `{"mode":"ids","no_events":true}`
+	conn, fr := rawStreamHello(t, streamAddr(c), id, hello)
 
 	// n IDs chunks, each preceded by a syms frame when it brings new
-	// symbols, with one undecodable IDs frame (width 3) in the middle.
+	// symbols, with one undecodable IDs frame (width 3) in the middle,
+	// which ends the first connection.
 	b := trace.NewInternedBuilder(0)
-	var frames []byte
+	var frames, first []byte
 	var sizes []int64
 	symsFrames := 0
 	for i, chunk := range chunks(phasedTrace(n*500), []int{500}) {
@@ -130,7 +132,8 @@ func TestStreamChunkCounters(t *testing.T) {
 		frames = trace.AppendFrame(frames, trace.FrameIDs, trace.AppendIDsPayload(nil, ids))
 		sizes = append(sizes, int64(len(ids)))
 		if i == n/2 {
-			frames = trace.AppendFrame(frames, trace.FrameIDs, []byte{3, 1, 0, 0, 0})
+			first = trace.AppendFrame(frames, trace.FrameIDs, []byte{3, 1, 0, 0, 0})
+			frames = nil
 			sizes = append(sizes, 0)
 		}
 	}
@@ -138,22 +141,33 @@ func TestStreamChunkCounters(t *testing.T) {
 		t.Fatalf("workload sends %d syms frames, want at least 2", symsFrames)
 	}
 	frames = trace.AppendFrame(frames, trace.FrameEnd, []byte{0})
-	if _, err := conn.Write(frames); err != nil {
+	if _, err := conn.Write(first); err != nil {
 		t.Fatal(err)
 	}
-	for errs := 0; ; {
+	for {
 		typ, payload := nextDataPlane(t, fr)
-		if typ == trace.FrameDone {
-			if errs != 1 {
-				t.Fatalf("%d err frames, want 1 for the corrupt chunk", errs)
-			}
-			break
-		}
 		if typ == trace.FrameErr {
 			if retryable, msg := parseErrPayload(payload); !retryable {
 				t.Fatalf("fatal stream error %q", msg)
 			}
-			errs++
+			break
+		}
+	}
+	expectHangup(t, fr)
+	conn.Close()
+	conn, fr = rawStreamHello(t, streamAddr(c), id, hello)
+	defer conn.Close()
+	if _, err := conn.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		typ, payload := nextDataPlane(t, fr)
+		if typ == trace.FrameDone {
+			break
+		}
+		if typ == trace.FrameErr {
+			_, msg := parseErrPayload(payload)
+			t.Fatalf("stream error after the reconnect: %q", msg)
 		}
 	}
 

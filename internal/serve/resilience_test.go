@@ -48,7 +48,7 @@ func waitCounter(t *testing.T, reg *telemetry.Registry, family string, want int6
 // stream connection's buffer charge pushes occupancy past the budget —
 // makes ingest chunks shed with a retryable error on both the one-shot
 // endpoint (503 + Retry-After) and the framed stream (retryable
-// FrameErr, cursor unmoved).
+// FrameErr, cursor unmoved, connection closed).
 func TestShedWatermarks(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	// One CW=300 session charges 16 KiB base + 600 window elems: ~21 KiB.
@@ -90,9 +90,8 @@ func TestShedWatermarks(t *testing.T) {
 
 	// The same shed over the framed stream: the connection charge alone
 	// is past the budget here, so the first data frame bounces with a
-	// retryable FrameErr and the connection survives it.
+	// retryable FrameErr, and the server ends the connection.
 	conn, fr := rawStream(t, streamAddr(c), id)
-	defer conn.Close()
 	if _, err := conn.Write(trace.AppendFrame(nil, trace.FrameData, big)); err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +105,13 @@ func TestShedWatermarks(t *testing.T) {
 	if v := reg.Counter(telemetry.MetricResilienceShedChunks).Value(); v != 2 {
 		t.Errorf("shed_chunks = %d, want 2", v)
 	}
+	expectHangup(t, fr)
+	conn.Close()
 
-	// A small chunk still lands after the sheds: the session was never
-	// poisoned, only pushed back.
+	// The session was never poisoned, only pushed back: a reconnect
+	// finds it at cursor 0 and ends it.
+	conn, fr = rawStream(t, streamAddr(c), id)
+	defer conn.Close()
 	if _, err := conn.Write(trace.AppendFrame(nil, trace.FrameEnd, []byte{0})); err != nil {
 		t.Fatal(err)
 	}

@@ -381,12 +381,13 @@ func writeError(w http.ResponseWriter, status int, err error) {
 
 // ingestStatus is the one error table of both wire paths: it maps an
 // ingest error to the one-shot endpoint's HTTP status and to whether the
-// framed stream's FrameErr is retryable. Only a decode error leaves the
-// stream connection open, since the frame around the damaged chunk was
-// intact and the byte stream is still in sync.
+// framed stream's FrameErr is retryable. Every refused stream frame ends
+// its connection, a retryable one included: a client resumes from the
+// handshake's chunk cursor, so frames it pipelined behind the refused one
+// must not apply.
 //
-//	decode error (ErrCorrupt, ErrTruncated)   400  retryable, connection stays
-//	ErrPersist, ErrMigrated                   503  retryable, connection closes
+//	decode error (ErrCorrupt, ErrTruncated)   400  retryable
+//	ErrPersist, ErrMigrated                   503  retryable
 //	ErrClosed, ErrModeConflict                409  fatal
 //	ErrFailed (panic or condemned),           500  fatal
 //	ErrStaleStream, symbol-table conflicts

@@ -643,14 +643,9 @@ func (s *Session) checkSymsLocked(start uint64, syms []trace.Branch) error {
 	return nil
 }
 
-// SymbolCount returns the size of the session's negotiated symbol table
-// (zero in branch mode) — the validation bound for incoming ID frames.
-func (s *Session) SymbolCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.symbolCountLocked()
-}
-
+// symbolCountLocked returns the size of the session's negotiated symbol
+// table (zero in branch mode) — the validation bound for incoming ID
+// frames.
 func (s *Session) symbolCountLocked() int {
 	if s.mode != modeIDs {
 		return 0

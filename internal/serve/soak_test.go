@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"net"
 	"net/http"
@@ -22,6 +24,45 @@ import (
 	"opd/internal/telemetry"
 	"opd/internal/trace"
 )
+
+// soakLog counts the server's log records per session, so a divergent
+// soak episode can be named with what its session went through.
+type soakLog struct {
+	mu     sync.Mutex
+	counts map[string]map[string]int // session -> message -> records
+}
+
+const (
+	soakShedMsg = "stream chunk shed: memory over hard watermark"
+	soakTripMsg = "durability breaker tripped; session continues ephemerally"
+)
+
+func (h *soakLog) Enabled(context.Context, slog.Level) bool { return true }
+func (h *soakLog) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *soakLog) WithGroup(string) slog.Handler            { return h }
+
+func (h *soakLog) Handle(_ context.Context, r slog.Record) error {
+	r.Attrs(func(a slog.Attr) bool {
+		if a.Key != "session" {
+			return true
+		}
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		id := a.Value.String()
+		if h.counts[id] == nil {
+			h.counts[id] = map[string]int{}
+		}
+		h.counts[id][r.Message]++
+		return false
+	})
+	return nil
+}
+
+func (h *soakLog) count(id, msg string) int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.counts[id][msg]
+}
 
 // TestChaosSoak is the overload-resilience soak harness: dozens of
 // concurrent workers drive the full HTTP surface — framed streams with
@@ -55,8 +96,10 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	const hb = 300 * time.Millisecond
+	serverLog := &soakLog{counts: map[string]map[string]int{}}
 	srv := NewServer(Options{
 		Registry:           reg,
+		Logger:             slog.New(serverLog),
 		Store:              store,
 		Durability:         DurabilityDegraded,
 		WALFailureLimit:    2,
@@ -118,6 +161,9 @@ func TestChaosSoak(t *testing.T) {
 	}()
 
 	var episodes, verified, abandoned, stallProbes atomic.Int64
+	// Divergent episodes, named with what their session went through.
+	var divergedMu sync.Mutex
+	var diverged []string
 	// Abandonment reasons, sampled: a soak where everything is abandoned
 	// for the same reason is a bug, and the reason is the first clue.
 	var reasonMu sync.Mutex
@@ -217,8 +263,10 @@ func TestChaosSoak(t *testing.T) {
 		// never correctness.
 		var sum *Summary
 		redials := 0
+		causes := map[string]int{}
 		redial := func(cause string, err error) bool {
 			sc.Close()
+			causes[cause]++
 			if redials++; redials > 60 {
 				return abandon("%d redials, last %s: %v", redials-1, cause, err)
 			}
@@ -268,8 +316,13 @@ func TestChaosSoak(t *testing.T) {
 			break
 		}
 		if sum.Consumed != want.Consumed() || !equalIntervals(sum.AdjustedPhases, want.AdjustedPhases()) {
-			t.Errorf("soak episode diverged from offline: consumed %d (want %d), %d phases (want %d)",
-				sum.Consumed, want.Consumed(), len(sum.AdjustedPhases), len(want.AdjustedPhases()))
+			d := fmt.Sprintf("session %s: consumed %d (want %d), %d phases (want %d); %d sheds, %d breaker spells, %d redials %v",
+				id, sum.Consumed, want.Consumed(), len(sum.AdjustedPhases), len(want.AdjustedPhases()),
+				serverLog.count(id, soakShedMsg), serverLog.count(id, soakTripMsg), redials, causes)
+			t.Errorf("soak episode diverged from offline: %s", d)
+			divergedMu.Lock()
+			diverged = append(diverged, d)
+			divergedMu.Unlock()
 		}
 		verified.Add(1)
 		return true
@@ -362,6 +415,10 @@ func TestChaosSoak(t *testing.T) {
 		t.Logf("soak: abandoned %d × %s", n, r)
 	}
 	reasonMu.Unlock()
+	t.Logf("soak: %d divergent episodes", len(diverged))
+	for _, d := range diverged {
+		t.Logf("soak: diverged %s", d)
+	}
 	for _, m := range []string{
 		telemetry.MetricResilienceShedOpens,
 		telemetry.MetricResilienceShedChunks,

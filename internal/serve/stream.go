@@ -439,28 +439,27 @@ func (s *Server) serveStream(sc *streamConn, fr *trace.FrameReader) {
 			// Hard-watermark shedding of data frames, same contract as the
 			// one-shot endpoint: the shed is a retryable FrameErr and the
 			// cursor does not advance, so the client backs off and resends.
+			// Like every refusal below, it ends the connection.
 			if g := s.manager.res.gov; data && !g.TryReserve(ct.Bytes) {
 				s.manager.res.probe.ShedChunk()
 				s.logger.Warn("stream chunk shed: memory over hard watermark",
 					"session", sess.ID(), "chunk_bytes", ct.Bytes, "used_bytes", g.Used())
-				if !sc.sendErr(true, fmt.Errorf("serve: chunk shed, accounted memory at %d bytes; retry", g.Used())) {
-					return
-				}
-				continue
+				sc.sendErr(true, fmt.Errorf("serve: chunk shed, accounted memory at %d bytes; retry", g.Used()))
+				return
 			}
 			err = sess.ingest(sc.gen, typ, payload, scratch, &ct)
 			if data {
 				s.manager.res.gov.Release(ct.Bytes)
 			}
 			if err != nil {
-				// Nothing of the record was applied. Only in-payload damage
-				// keeps the connection in sync; every other refusal ends it,
-				// retryably or not (see ingestStatus).
-				status, retryable := ingestStatus(err)
-				if !sc.sendErr(retryable, err) || status != http.StatusBadRequest {
-					return
-				}
-				continue
+				// Nothing of the record was applied, and every refusal ends
+				// the connection, retryably or not (see ingestStatus): the
+				// client may have pipelined frames behind this one, and none
+				// of them may apply while its resume cursor still points at
+				// this one.
+				_, retryable := ingestStatus(err)
+				sc.sendErr(retryable, err)
+				return
 			}
 			if !data {
 				continue

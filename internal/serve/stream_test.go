@@ -328,11 +328,27 @@ func nextDataPlane(t *testing.T, fr *trace.FrameReader) (trace.FrameType, []byte
 	}
 }
 
+// expectHangup reads until the server ends the connection: only
+// buffered events may still arrive.
+func expectHangup(t *testing.T, fr *trace.FrameReader) {
+	t.Helper()
+	for {
+		typ, _, err := fr.ReadFrame()
+		if err != nil {
+			return
+		}
+		if typ != trace.FrameEvent {
+			t.Fatalf("got %s frame, want the server to hang up", typ)
+		}
+	}
+}
+
 // TestStreamDamageSemantics pins the two-layer damage contract. In-payload
 // damage (a chunk whose OPDBRNC1 bytes are corrupt inside an intact frame)
-// costs exactly that chunk: the server answers a retryable FrameErr and the
-// connection keeps working. Frame-level damage (a bad checksum) kills the
-// connection — but only the connection: the session survives for a
+// costs exactly that chunk: the server answers a retryable FrameErr, applies
+// nothing and ends the connection, and a reconnect resumes at the same
+// cursor. Frame-level damage (a bad checksum) kills the connection without
+// an answer — but only the connection: the session survives for a
 // reconnect that completes the stream to the offline-identical result.
 func TestStreamDamageSemantics(t *testing.T) {
 	tr := phasedTrace(12000)
@@ -344,7 +360,7 @@ func TestStreamDamageSemantics(t *testing.T) {
 	conn, fr := rawStream(t, streamAddr(c), id)
 
 	// An intact frame around a corrupt chunk: rejected whole, retryable,
-	// connection stays in sync.
+	// and the connection ends.
 	if _, err := conn.Write(trace.AppendFrame(nil, trace.FrameData, corruptHeader(tr[:100]))); err != nil {
 		t.Fatal(err)
 	}
@@ -355,8 +371,11 @@ func TestStreamDamageSemantics(t *testing.T) {
 	if retryable, msg := parseErrPayload(payload); !retryable {
 		t.Fatalf("corrupt chunk: fatal error %q, want retryable", msg)
 	}
+	expectHangup(t, fr)
+	conn.Close()
 
-	// The same connection still ingests.
+	// A reconnect ingests from the unmoved cursor.
+	conn, fr = rawStream(t, streamAddr(c), id)
 	parts := chunks(tr, []int{1009})
 	half := len(parts) / 2
 	for _, p := range parts[:half] {
@@ -390,17 +409,7 @@ func TestStreamDamageSemantics(t *testing.T) {
 	if _, err := conn.Write(bad); err != nil {
 		t.Fatal(err)
 	}
-	// Only buffered events may still arrive; the next data-plane frame is
-	// the hangup.
-	for {
-		typ, _, err := fr.ReadFrame()
-		if err != nil {
-			break
-		}
-		if typ != trace.FrameEvent {
-			t.Fatalf("server answered a checksum-corrupt frame with %s instead of hanging up", typ)
-		}
-	}
+	expectHangup(t, fr)
 	conn.Close()
 
 	// The session survived with the cursor where the acks left it: a
@@ -428,6 +437,89 @@ func TestStreamDamageSemantics(t *testing.T) {
 	}
 	if !equalIntervals(sum.AdjustedPhases, want.AdjustedPhases()) {
 		t.Errorf("adjusted phases %v, want %v", sum.AdjustedPhases, want.AdjustedPhases())
+	}
+}
+
+// TestRefusedFrameLeavesNoChunkGap pins that a refused data frame ends
+// its connection. A client pipelines frames and resumes from the
+// handshake's chunk cursor, so a frame applied behind a refused one would
+// leave the refused chunk unsent and resend the one applied: a hole and a
+// duplicate in the session's element stream. Here chunk k is shed (the
+// governor's whole budget is reserved for its read), chunk k+1 follows on
+// the same connection, and a resume must still reach the offline result.
+func TestRefusedFrameLeavesNoChunkGap(t *testing.T) {
+	const k, budget = 3, 2 << 20
+	tr := phasedTrace(24000)
+	cfg, _ := ConfigRequest{CW: 300}.Config()
+	want, _ := offline(cfg, tr)
+	parts := chunks(tr, []int{701})
+	srv, c := newTestServer(t, Options{Registry: telemetry.NewRegistry(), MemBudgetBytes: budget})
+	id, _ := c.open(ConfigRequest{CW: 300})
+	conn, fr := rawStream(t, streamAddr(c), id)
+	defer conn.Close()
+
+	for _, p := range parts[:k] {
+		if _, err := conn.Write(trace.AppendFrame(nil, trace.FrameData, mustEncode(t, p))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for applied := uint64(0); applied < k; {
+		typ, payload := nextDataPlane(t, fr)
+		if typ != trace.FrameAck {
+			t.Fatalf("got %s frame, want FrameAck", typ)
+		}
+		applied, _, _, _, _ = parseAckPayload(payload)
+	}
+	gov := srv.manager.res.gov
+	gov.Reserve(budget)
+	if _, err := conn.Write(trace.AppendFrame(nil, trace.FrameData, mustEncode(t, parts[k]))); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload := nextDataPlane(t, fr)
+	gov.Release(budget)
+	if typ != trace.FrameErr {
+		t.Fatalf("shed chunk: got %s frame, want FrameErr", typ)
+	}
+	if retryable, msg := parseErrPayload(payload); !retryable {
+		t.Fatalf("shed chunk: fatal error %q, want retryable", msg)
+	}
+	// The client pipelined chunk k+1 before it saw the refusal. The
+	// write may fail once the server has hung up.
+	_, _ = conn.Write(trace.AppendFrame(nil, trace.FrameData, mustEncode(t, parts[k+1])))
+	for {
+		typ, _, err := fr.ReadFrame()
+		if err != nil {
+			break
+		}
+		if typ != trace.FrameEvent {
+			t.Errorf("server answered the frame behind a refused one with %s instead of hanging up", typ)
+			break
+		}
+	}
+	conn.Close()
+
+	sc, err := DialStream(streamAddr(c), id, StreamOptions{NoEvents: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	if sc.Applied() != k {
+		t.Errorf("resume cursor %d, want %d", sc.Applied(), k)
+	}
+	for _, p := range parts {
+		if err := sc.Send(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sum, err := sc.End(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Consumed != want.Consumed() || sum.SimComputations != want.SimilarityComputations() ||
+		!equalIntervals(sum.AdjustedPhases, want.AdjustedPhases()) {
+		t.Errorf("consumed %d, %d sims, %d adjusted phases; offline has %d, %d, %d",
+			sum.Consumed, sum.SimComputations, len(sum.AdjustedPhases),
+			want.Consumed(), want.SimilarityComputations(), len(want.AdjustedPhases()))
 	}
 }
 
@@ -613,8 +705,11 @@ func TestSymbolFramesExtendDetectorTable(t *testing.T) {
 		}
 	}
 	want := []trace.Branch{a, b, c}
-	if !slices.Equal(s.det.Symbols(), want) || s.SymbolCount() != len(want) {
-		t.Fatalf("table %v (count %d), want %v", s.det.Symbols(), s.SymbolCount(), want)
+	s.mu.Lock()
+	count := s.symbolCountLocked()
+	s.mu.Unlock()
+	if !slices.Equal(s.det.Symbols(), want) || count != len(want) {
+		t.Fatalf("table %v (count %d), want %v", s.det.Symbols(), count, want)
 	}
 	ids := []int32{0, 1, 2, 1}
 	if err := ingestOne(s, trace.FrameIDs, trace.AppendIDsPayload(nil, ids)); err != nil {
