@@ -52,27 +52,32 @@ fuzz-smoke:
 # faults, connection kills, and stalled clients, asserting no deadlock,
 # no goroutine leaks, a zeroed byte accountant, and streamed ≡ offline
 # for every surviving session. OPD_SOAK_DURATION stretches it for real
-# soaking (e.g. OPD_SOAK_DURATION=5m).
+# soaking (e.g. OPD_SOAK_DURATION=5m). This target and the other smoke
+# and guard targets below pass -count=1: their tests read only fixed
+# environment variables, so without it go test answers a repeated run
+# from its cache ("(cached)", the first run's log) instead of running it.
 soak-smoke:
-	OPD_SOAK=1 OPD_SOAK_DURATION=$${OPD_SOAK_DURATION:-15s} $(GO) test -race -run TestChaosSoak -v ./internal/serve
+	OPD_SOAK=1 OPD_SOAK_DURATION=$${OPD_SOAK_DURATION:-15s} $(GO) test -count=1 -race -run TestChaosSoak -v ./internal/serve
 
 # load-smoke is a ~15s seeded loadgen run against an in-process server
 # under the race detector: dozens of sessions across every protocol
 # (framed stream, stream-branch, POST+SSE, POST+poll) with churn and an
 # RPS ramp, asserting nonzero throughput, zero errors outside the
 # overload contract, client/server ledger agreement, and that every
-# goroutine winds down. OPD_LOAD_DURATION stretches it.
+# goroutine winds down. OPD_LOAD_DURATION stretches it. -count=1: see
+# soak-smoke.
 load-smoke:
-	OPD_LOAD=1 OPD_LOAD_DURATION=$${OPD_LOAD_DURATION:-12s} $(GO) test -race -run TestLoadSmoke -v ./internal/loadgen
+	OPD_LOAD=1 OPD_LOAD_DURATION=$${OPD_LOAD_DURATION:-12s} $(GO) test -count=1 -race -run TestLoadSmoke -v ./internal/loadgen
 
 # cluster-smoke is the gateway node-kill e2e under the race detector:
 # a three-node in-process cluster behind the gateway, live framed
 # streams, one node killed mid-feed — every stream must ride through
 # via re-home + replay with summaries and events bit-identical to the
 # offline detector, no session left routed to the dead node, and the
-# survivors' accountants at zero after shutdown.
+# survivors' accountants at zero after shutdown. -count=1: see
+# soak-smoke.
 cluster-smoke:
-	OPD_CLUSTER=1 $(GO) test -race -run TestClusterKillMigration -v ./internal/cluster
+	OPD_CLUSTER=1 $(GO) test -count=1 -race -run TestClusterKillMigration -v ./internal/cluster
 
 bench:
 	$(GO) test -bench . -benchtime 1s -run '^$$' ./internal/core/... ./internal/sweep/... ./internal/telemetry/... ./internal/serve/...
@@ -87,9 +92,10 @@ bench-smoke:
 # than 5% to the BenchmarkServeIngest path versus a probe-free server,
 # and streaming ingest at 1K-element chunks must stay within 1.2x of
 # the bare detector feed on the dense-ID path (2.5x in branch frames).
+# -count=1: see soak-smoke.
 bench-guard:
-	OPD_TRACE_GUARD=1 $(GO) test -run=TestTracingOverheadGuard -v ./internal/serve
-	OPD_INGEST_GUARD=1 $(GO) test -run=TestStreamingIngestGuard -v ./internal/serve
+	OPD_TRACE_GUARD=1 $(GO) test -count=1 -run=TestTracingOverheadGuard -v ./internal/serve
+	OPD_INGEST_GUARD=1 $(GO) test -count=1 -run=TestStreamingIngestGuard -v ./internal/serve
 
 # bench-json regenerates the checked-in streaming-server ingest overhead
 # record.

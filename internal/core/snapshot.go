@@ -76,10 +76,15 @@ const (
 // detectors with custom models or analyzers return an error. The
 // detector's telemetry probe and phase hooks are not part of the state:
 // the caller re-attaches them after Restore.
-func (d *Detector) Snapshot() ([]byte, error) {
+func (d *Detector) Snapshot() ([]byte, error) { return d.AppendSnapshot(nil) }
+
+// AppendSnapshot appends the detector's Snapshot encoding to dst and
+// returns the extended buffer, so a caller that embeds the snapshot in a
+// larger payload writes it in place. On error dst comes back unchanged.
+func (d *Detector) AppendSnapshot(dst []byte) ([]byte, error) {
 	sm, ok := d.model.(*SetModel)
 	if !ok {
-		return nil, fmt.Errorf("core: snapshot: unsupported model %T", d.model)
+		return dst, fmt.Errorf("core: snapshot: unsupported model %T", d.model)
 	}
 	cfg := Config{
 		CWSize:     sm.win.cwSize,
@@ -96,10 +101,11 @@ func (d *Detector) Snapshot() ([]byte, error) {
 	case *Average:
 		cfg.Analyzer, cfg.Param = AverageAnalyzer, a.Delta
 	default:
-		return nil, fmt.Errorf("core: snapshot: unsupported analyzer %T", d.analyzer)
+		return dst, fmt.Errorf("core: snapshot: unsupported analyzer %T", d.analyzer)
 	}
 
-	var w snapWriter
+	start := len(dst)
+	w := snapWriter{buf: dst}
 	w.buf = append(w.buf, snapshotMagic[:]...)
 	w.u16(SnapshotVersion)
 
@@ -184,7 +190,7 @@ func (d *Detector) Snapshot() ([]byte, error) {
 		w.uvarint(uint64(id))
 	}
 
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.Checksum(w.buf, castagnoli))
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.Checksum(w.buf[start:], castagnoli))
 	return w.buf, nil
 }
 

@@ -52,6 +52,12 @@ func recoverOne(t *testing.T, s *Store, id string) *Recovered {
 	return nil
 }
 
+// appendRecord frames payload onto dst as the log frames a record.
+func appendRecord(dst, payload []byte) []byte {
+	h := recordHeader(payload)
+	return append(append(dst, h[:]...), payload...)
+}
+
 func wantRecords(t *testing.T, got [][]byte, want [][]byte) {
 	t.Helper()
 	if len(got) != len(want) {

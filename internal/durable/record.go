@@ -33,11 +33,12 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // prefix of the file ends at the record's start offset.
 var errTorn = errors.New("durable: torn or corrupt record")
 
-// appendRecord frames payload onto dst.
-func appendRecord(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
-	return append(dst, payload...)
+// recordHeader is payload's framing header.
+func recordHeader(payload []byte) [recordHeaderSize]byte {
+	var h [recordHeaderSize]byte
+	binary.LittleEndian.PutUint32(h[:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(h[4:], crc32.Checksum(payload, castagnoli))
+	return h
 }
 
 // appendRecordMulti frames the concatenation of parts onto dst as one

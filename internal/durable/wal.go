@@ -256,8 +256,14 @@ func (l *SessionLog) writeSnapshot(idx uint64, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("durable: creating snapshot temp: %w", err)
 	}
-	frame := appendRecord(make([]byte, 0, recordHeaderSize+len(payload)), payload)
-	if _, err := f.Write(frame); err != nil {
+	// The header and the payload go out as two writes, so the payload is
+	// never copied into a framed buffer.
+	h := recordHeader(payload)
+	if _, err := f.Write(h[:]); err != nil {
+		f.Close()
+		return fmt.Errorf("durable: writing snapshot: %w", err)
+	}
+	if _, err := f.Write(payload); err != nil {
 		f.Close()
 		return fmt.Errorf("durable: writing snapshot: %w", err)
 	}

@@ -11,9 +11,13 @@ import (
 // eviction; it is not a heap profiler. Each is the steady-state cost of
 // one unit, rounded up so the accountant errs toward shedding early.
 const (
-	// eventLogBytes covers one retained Event (struct, wall-clock entry,
-	// and amortized slice slack).
-	eventLogBytes = 96
+	// eventLogBytes covers one retained event in the session's event log
+	// (eventlog.go): its OPDSESS1 encoding, its wall-clock delta, its
+	// share of the Seq marks, and the log's slack of up to half again
+	// its live bytes. A capped log measures 20–24 bytes per kept event on
+	// detector-fed streams and up to 26 once positions take five-byte
+	// varints (TestEventLogBytesWithinCharge).
+	eventLogBytes = 32
 	// sessionBaseBytes covers a session's fixed overhead: the struct,
 	// flight recorder ring, subscriber map, and durable log buffers.
 	sessionBaseBytes = 16 << 10

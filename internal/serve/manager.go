@@ -715,13 +715,11 @@ func (m *Manager) restore(id string, snapshot []byte, records [][]byte, log *dur
 		return nil, err
 	}
 	s := newSession(id, rs.cfg, rs.det, m.opts.MaxEventsRetained, m.opts.FlightChunks, m.probe, m.res, m.opts.Logger)
-	s.chargeMem(sessionBaseCost(rs.cfg) + int64(len(rs.events))*eventLogBytes)
-	s.events = append(s.events, rs.events...)
-	// Restored events get no wall time: SSE lag across a restart or a
-	// migration is meaningless, and a zero entry tells the stream path to
-	// skip them.
-	s.wall = make([]int64, len(rs.events))
-	s.base = rs.base
+	// The restored log's events carry no wall time: SSE lag across a
+	// restart or a migration is meaningless, and a zero wall tells the
+	// stream path to skip them.
+	s.events = rs.events
+	s.chargeMem(sessionBaseCost(rs.cfg) + int64(s.events.len())*eventLogBytes)
 	s.mode = rs.mode
 	s.applied = rs.applied
 	// Only adoption's replay can fail: boot keeps the clean prefix.

@@ -134,7 +134,9 @@ func (s *Session) exportMigrate(remove bool) ([]byte, error) {
 	if err := s.usableLocked(); err != nil {
 		return nil, err
 	}
-	snap, err := s.encodeSnapshotLocked()
+	sb := snapBufPool.Get().(*snapBuf)
+	defer snapBufPool.Put(sb)
+	snap, err := s.encodeSnapshotLocked(sb)
 	if err != nil {
 		return nil, err
 	}

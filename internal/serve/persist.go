@@ -5,10 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
+	"sync"
 
 	"opd/internal/core"
-	"opd/internal/telemetry"
 	"opd/internal/trace"
 )
 
@@ -72,38 +71,44 @@ func walPrefix(kind trace.FrameType) []byte {
 	return nil
 }
 
-// encodeSnapshotLocked serializes the session's durable state. Callers
-// hold s.mu.
-func (s *Session) encodeSnapshotLocked() ([]byte, error) {
-	detSnap, err := s.det.Snapshot()
+// snapHeadRoom is the room a checkpoint buffer leaves ahead of the
+// detector snapshot for the header in front of it: the magic, the version
+// and the snapshot's uvarint length.
+const snapHeadRoom = len(sessSnapMagic) + 1 + binary.MaxVarintLen64
+
+// A snapBuf is one checkpoint's buffer. snapBufPool recycles them across
+// sessions: a checkpoint is built and written (or, for an export, copied
+// into its blob) under one hold of the session mutex, and the buffer goes
+// back to the pool afterwards.
+type snapBuf struct{ b []byte }
+
+var snapBufPool = sync.Pool{New: func() any { return new(snapBuf) }}
+
+// encodeSnapshotLocked serializes the session's durable state into sb and
+// returns the payload, which aliases sb's buffer. The detector writes its
+// snapshot straight into the buffer behind snapHeadRoom bytes, and the
+// header, once the snapshot's length is known, goes into the tail of that
+// room, so the payload is written once. The retained events are copied in
+// their stored encoding. Callers hold s.mu.
+func (s *Session) encodeSnapshotLocked(sb *snapBuf) ([]byte, error) {
+	buf, err := s.det.AppendSnapshot(append(sb.b[:0], make([]byte, snapHeadRoom)...))
+	sb.b = buf
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 0, len(sessSnapMagic)+1+len(detSnap)+16*len(s.events)+32)
-	buf = append(buf, sessSnapMagic...)
-	buf = append(buf, sessSnapVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(detSnap)))
-	buf = append(buf, detSnap...)
-	buf = binary.AppendUvarint(buf, s.base)
-	buf = binary.AppendUvarint(buf, uint64(len(s.events)))
-	for _, e := range s.events {
-		var kind byte
-		switch e.Kind {
-		case telemetry.EvPhaseStart.String():
-			kind = 0
-		case telemetry.EvPhaseEnd.String():
-			kind = 1
-		default:
-			return nil, fmt.Errorf("serve: unencodable event kind %q", e.Kind)
-		}
-		buf = append(buf, kind)
-		buf = binary.AppendVarint(buf, e.At)
-		buf = binary.AppendVarint(buf, e.V1)
-		buf = binary.AppendVarint(buf, e.V2)
-	}
+	var head [snapHeadRoom]byte
+	h := append(head[:0], sessSnapMagic...)
+	h = append(h, sessSnapVersion)
+	h = binary.AppendUvarint(h, uint64(len(buf)-snapHeadRoom))
+	start := snapHeadRoom - len(h)
+	copy(buf[start:], h)
+	buf = binary.AppendUvarint(buf, s.events.base())
+	buf = binary.AppendUvarint(buf, uint64(s.events.len()))
+	buf = s.events.appendEncoded(buf)
 	buf = append(buf, byte(s.mode))
 	buf = binary.AppendUvarint(buf, s.applied)
-	return buf, nil
+	sb.b = buf
+	return buf[start:], nil
 }
 
 // restoredSnapshot carries a decoded session snapshot: the restored
@@ -112,15 +117,15 @@ func (s *Session) encodeSnapshotLocked() ([]byte, error) {
 type restoredSnapshot struct {
 	det     *core.Detector
 	cfg     core.Config
-	events  []Event
-	base    uint64
+	events  eventLog
 	mode    sessionMode
 	applied uint64
 }
 
 // decodeSessionSnapshot parses a session snapshot back into a restored
-// detector, its configuration, and the retained event log. The input is
-// CRC-verified by the durable layer but still decoded defensively.
+// detector, its configuration, and the retained event log, which adopts
+// the snapshot's event section once every event in it decodes. The input
+// is CRC-verified by the durable layer but still decoded defensively.
 func decodeSessionSnapshot(data []byte) (restoredSnapshot, error) {
 	var rs restoredSnapshot
 	fail := func(msg string) (restoredSnapshot, error) {
@@ -138,15 +143,13 @@ func decodeSessionSnapshot(data []byte) (restoredSnapshot, error) {
 	if err != nil || detLen > uint64(r.Len()) {
 		return fail("detector snapshot length")
 	}
-	detSnap := make([]byte, detLen)
-	if _, err := io.ReadFull(r, detSnap); err != nil {
-		return fail("detector snapshot truncated")
-	}
-	rs.det, rs.cfg, err = core.RestoreDetector(detSnap)
+	off := len(data) - r.Len()
+	rs.det, rs.cfg, err = core.RestoreDetector(data[off : off+int(detLen) : off+int(detLen)])
 	if err != nil {
 		return rs, fmt.Errorf("serve: session snapshot: %w", err)
 	}
-	rs.base, err = binary.ReadUvarint(r)
+	r.Reset(data[off+int(detLen):])
+	base, err := binary.ReadUvarint(r)
 	if err != nil {
 		return fail("event base")
 	}
@@ -156,25 +159,12 @@ func decodeSessionSnapshot(data []byte) (restoredSnapshot, error) {
 	if err != nil || count > uint64(r.Len())/4+1 {
 		return fail("event count")
 	}
-	src := rs.cfg.ID()
-	rs.events = make([]Event, 0, count)
-	for i := uint64(0); i < count; i++ {
-		kind, err := r.ReadByte()
-		if err != nil || kind > 1 {
-			return fail("event kind")
-		}
-		name := telemetry.EvPhaseStart.String()
-		if kind == 1 {
-			name = telemetry.EvPhaseEnd.String()
-		}
-		at, err1 := binary.ReadVarint(r)
-		v1, err2 := binary.ReadVarint(r)
-		v2, err3 := binary.ReadVarint(r)
-		if err1 != nil || err2 != nil || err3 != nil {
-			return fail("event payload")
-		}
-		rs.events = append(rs.events, Event{Seq: rs.base + i, Kind: name, Src: src, At: at, V1: v1, V2: v2})
+	rest := data[len(data)-r.Len():]
+	rs.events, rest, err = restoreEventLog(base, count, rest)
+	if err != nil {
+		return fail(err.Error())
 	}
+	r.Reset(rest)
 	if version >= 2 {
 		mode, err := r.ReadByte()
 		if err != nil || mode > byte(modeIDs) {

@@ -165,7 +165,7 @@ func TestEventTrimDebitsAccountant(t *testing.T) {
 		t.Fatal("no events dropped; retention cap never engaged")
 	}
 	s.mu.Lock()
-	retained := int64(len(s.events))
+	retained := int64(s.events.len())
 	s.mu.Unlock()
 	if retained > 8 {
 		t.Fatalf("retained %d events, cap 8", retained)

@@ -854,3 +854,84 @@ collect:
 		t.Errorf("open after shutdown: %v, want ErrDraining", err)
 	}
 }
+
+// TestOneShotReplyBytes pins the bytes of the one-shot chunk reply and
+// the event poll reply: each must read exactly as the sorted-key map of
+// the same values, indented as writeJSON indents, did.
+func TestOneShotReplyBytes(t *testing.T) {
+	mapJSON := func(v map[string]any) string {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	get := func(c *client, url string, body []byte) string {
+		t.Helper()
+		var resp *http.Response
+		var err error
+		if body == nil {
+			resp, err = c.http.Get(url)
+		} else {
+			resp, err = c.http.Post(url, "application/octet-stream", bytes.NewReader(body))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, %v", url, resp.StatusCode, err)
+		}
+		return string(out)
+	}
+
+	_, c := newTestServer(t, Options{Registry: telemetry.NewRegistry()})
+	req := ConfigRequest{CW: 300}
+	cfg, err := req.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _ := c.open(req)
+	url := c.base + "/v1/sessions/" + id
+	if got, want := get(c, url+"/events", nil), "{\n  \"events\": [],\n  \"next\": 0,\n  \"terminated\": false\n}\n"; got != want {
+		t.Errorf("empty poll reply:\n%q\nwant\n%q", got, want)
+	}
+
+	// The session's detector after the chunk: offline's hooks, without
+	// the Finish that offline's run ends with.
+	tr := phasedTrace(20000)
+	d := cfg.MustNew()
+	var wantEvents []Event
+	d.SetPhaseStartHook(func(adj int64, _ []trace.Branch) {
+		wantEvents = append(wantEvents, Event{Seq: uint64(len(wantEvents)), Kind: "phase_start", Src: cfg.ID(), At: adj, V1: adj})
+	})
+	d.SetPhaseEndHook(func(iv interval.Interval, _ []trace.Branch) {
+		wantEvents = append(wantEvents, Event{Seq: uint64(len(wantEvents)), Kind: "phase_end", Src: cfg.ID(), At: iv.End, V1: iv.Start, V2: iv.Len()})
+	})
+	d.ProcessBatch(tr)
+	if len(wantEvents) < 2 {
+		t.Fatal("trace produces too few events; test is vacuous")
+	}
+	got := get(c, url+"/elements", trace.AppendBranches(nil, tr))
+	want := mapJSON(map[string]any{
+		"elements":     int64(len(tr)),
+		"consumed":     d.Consumed(),
+		"in_phase":     d.State().IsPhase(),
+		"events_total": uint64(len(wantEvents)),
+	})
+	if got != want {
+		t.Errorf("chunk reply:\n%q\nwant\n%q", got, want)
+	}
+	got = get(c, url+"/events?since=1", nil)
+	want = mapJSON(map[string]any{
+		"events":     wantEvents[1:],
+		"next":       uint64(len(wantEvents)),
+		"terminated": false,
+	})
+	if got != want {
+		t.Errorf("poll reply:\n%q\nwant\n%q", got, want)
+	}
+}

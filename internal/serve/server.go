@@ -653,13 +653,26 @@ func (s *Server) handleElements(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, status, eb)
 		return
 	}
-	consumed, inPhase, eventsTotal := sess.Progress()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"elements":     ct.Elements,
-		"consumed":     consumed,
-		"in_phase":     inPhase,
-		"events_total": eventsTotal,
-	})
+	reply := elementsReply{Elements: ct.Elements}
+	reply.Consumed, reply.InPhase, reply.EventsTotal = sess.Progress()
+	writeJSON(w, http.StatusOK, reply)
+}
+
+// elementsReply is the reply to an applied one-shot chunk. Its fields,
+// like eventsReply's, are in sorted key order, so the reply reads as the
+// sorted-key map it replaced.
+type elementsReply struct {
+	Consumed    int64  `json:"consumed"`
+	Elements    int64  `json:"elements"`
+	EventsTotal uint64 `json:"events_total"`
+	InPhase     bool   `json:"in_phase"`
+}
+
+// eventsReply is the reply to an event poll.
+type eventsReply struct {
+	Events     []Event `json:"events"`
+	Next       uint64  `json:"next"`
+	Terminated bool    `json:"terminated"`
 }
 
 // handleFlight serves the session's flight recorder: the last N chunk
@@ -722,15 +735,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		s.streamEvents(w, r, sess, since)
 		return
 	}
-	evs, next, terminated := sess.EventsSince(since)
-	if evs == nil {
-		evs = []Event{}
+	var reply eventsReply
+	reply.Events, reply.Next, reply.Terminated = sess.EventsSince(since)
+	if reply.Events == nil {
+		reply.Events = []Event{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"events":     evs,
-		"next":       next,
-		"terminated": terminated,
-	})
+	writeJSON(w, http.StatusOK, reply)
 }
 
 // streamEvents serves a session's event log as a live SSE stream: every

@@ -166,15 +166,10 @@ type Session struct {
 	// fenced (ErrStaleStream) instead of racing the successor's cursor.
 	streamGen uint64
 
-	// The event log. Seq numbers are absolute; base is the Seq of
-	// events[0] after old events have been trimmed. wall runs parallel to
-	// events: the wall clock (unix nanoseconds) when each event entered
-	// the log, feeding the SSE delivery-lag histogram. It is zero for
-	// events restored from a snapshot (lag across a restart is
-	// meaningless, so those are skipped).
-	events    []Event
-	wall      []int64
-	base      uint64
+	// The event log (eventlog.go): Seq numbers are absolute, and at most
+	// maxEvents of the newest events are kept. Each kept event's wall
+	// clock feeds the SSE delivery-lag histogram.
+	events    eventLog
 	maxEvents int
 	subs      map[*subscriber]struct{}
 
@@ -296,18 +291,14 @@ func (s *Session) idleSince() time.Time { return time.Unix(0, s.lastUsed.Load())
 // net of event publishing.
 func (s *Session) appendLocked(kind string, at, v1, v2 int64) {
 	t0 := time.Now()
-	seq := s.base + uint64(len(s.events))
-	s.events = append(s.events, Event{Seq: seq, Kind: kind, Src: s.configID, At: at, V1: v1, V2: v2})
-	s.wall = append(s.wall, t0.UnixNano())
+	s.events.push(logEventKind(kind), at, v1, v2, t0.UnixNano())
 	s.chargeMem(eventLogBytes)
-	if s.maxEvents > 0 && len(s.events) > s.maxEvents {
-		drop := len(s.events) - s.maxEvents
-		// Re-slicing past the dropped prefix is O(1); append reallocates,
-		// copying only the retained log, once the slack behind it runs
+	if s.maxEvents > 0 && s.events.len() > s.maxEvents {
+		drop := s.events.len() - s.maxEvents
+		// Trimming retires the dropped events' bytes in O(1) each; the log
+		// moves the retained bytes only once the slack behind them runs
 		// out, so trimming costs amortized O(1) per event.
-		s.events = s.events[drop:]
-		s.wall = s.wall[drop:]
-		s.base += uint64(drop)
+		s.events.trim(drop)
 		// Trimmed events leave the log, so they leave the accountant's
 		// books too, and the drop is visible in metrics — a poller whose
 		// cursor fell behind the trim point sees a Seq gap.
@@ -697,7 +688,7 @@ func (s *Session) StreamHello(wantIDs bool) (streamState, error) {
 	st.Gen = s.streamGen
 	st.Applied = s.applied
 	st.Consumed = s.det.Consumed()
-	st.EventsTotal = s.base + uint64(len(s.events))
+	st.EventsTotal = s.events.next
 	st.Symbols = s.symbolCountLocked()
 	st.Degraded = s.brk.open
 	return st, nil
@@ -796,7 +787,9 @@ func (s *Session) maybeSnapshotLocked() bool {
 
 // snapshotLocked persists the session's full state to its log.
 func (s *Session) snapshotLocked() error {
-	payload, err := s.encodeSnapshotLocked()
+	sb := snapBufPool.Get().(*snapBuf)
+	defer snapBufPool.Put(sb)
+	payload, err := s.encodeSnapshotLocked(sb)
 	if err != nil {
 		return err
 	}
@@ -879,7 +872,7 @@ func (s *Session) summaryLocked() *Summary {
 		State:           s.state,
 		Consumed:        s.det.Consumed(),
 		SimComputations: s.det.SimilarityComputations(),
-		EventsTotal:     s.base + uint64(len(s.events)),
+		EventsTotal:     s.events.next,
 		Degraded:        s.brk.open,
 	}
 	if s.state == StateClosed {
@@ -904,7 +897,7 @@ func (s *Session) Summary() *Summary {
 func (s *Session) Progress() (consumed int64, inPhase bool, eventsTotal uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.det.Consumed(), s.det.State().IsPhase(), s.base + uint64(len(s.events))
+	return s.det.Consumed(), s.det.State().IsPhase(), s.events.next
 }
 
 // StreamProgress is Progress keyed by the streaming resume cursor: the
@@ -912,7 +905,7 @@ func (s *Session) Progress() (consumed int64, inPhase bool, eventsTotal uint64) 
 func (s *Session) StreamProgress() (applied uint64, inPhase bool, eventsTotal uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.applied, s.det.State().IsPhase(), s.base + uint64(len(s.events))
+	return s.applied, s.det.State().IsPhase(), s.events.next
 }
 
 // EventsSince returns the retained events with Seq >= since, the next
@@ -930,15 +923,8 @@ func (s *Session) EventsSince(since uint64) (evs []Event, next uint64, terminate
 func (s *Session) eventsSinceWall(since uint64) (evs []Event, wall []int64, next uint64, terminated bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if since < s.base {
-		since = s.base
-	}
-	end := s.base + uint64(len(s.events))
-	if since < end {
-		evs = append(evs, s.events[since-s.base:]...)
-		wall = append(wall, s.wall[since-s.base:]...)
-	}
-	return evs, wall, end, s.state != StateActive || s.migrated
+	evs, wall, next = s.events.read(since, s.configID)
+	return evs, wall, next, s.state != StateActive || s.migrated
 }
 
 // followEvents is the one event-follow loop behind both live event

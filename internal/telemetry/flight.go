@@ -68,7 +68,9 @@ func Stages() []Stage {
 
 // A ChunkTrace is the complete latency record of one ingested chunk:
 // when it arrived, how big it was, how long each stage took, and how it
-// ended. Fixed size, so recording one never allocates.
+// ended. It is fixed size and the recorder stores it by value, so
+// recording one allocates only while the recorder's ring is still
+// growing.
 type ChunkTrace struct {
 	// Seq is the chunk's ordinal within its session (first chunk = 1).
 	Seq int64 `json:"seq"`
@@ -93,13 +95,17 @@ type ChunkTrace struct {
 // the fact: the ring is dumped into the log on panic and served raw by
 // the session flight debug endpoint.
 //
+// The ring is allocated on the first Record and grows by doubling up to
+// its capacity, so a session that never takes a chunk holds no ring.
+//
 // Appends are mutex-guarded: chunks within a session are already
 // serialized, so the lock is uncontended in steady state and only
 // matters against concurrent debug reads.
 type FlightRecorder struct {
-	mu   sync.Mutex
-	buf  []ChunkTrace
-	next int64 // total traces ever recorded
+	mu       sync.Mutex
+	capacity int
+	buf      []ChunkTrace // the ring; shorter than capacity until it fills
+	next     int64        // total traces ever recorded
 }
 
 // NewFlightRecorder builds a recorder holding the most recent capacity
@@ -108,7 +114,7 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("telemetry: flight recorder capacity must be positive, got %d", capacity))
 	}
-	return &FlightRecorder{buf: make([]ChunkTrace, capacity)}
+	return &FlightRecorder{capacity: capacity}
 }
 
 // Record appends one chunk trace, evicting the oldest when full. Safe on
@@ -118,7 +124,15 @@ func (f *FlightRecorder) Record(ct ChunkTrace) {
 		return
 	}
 	f.mu.Lock()
-	f.buf[f.next%int64(len(f.buf))] = ct
+	if n := len(f.buf); n < f.capacity {
+		// Still filling: traces sit in arrival order at buf[:next].
+		if n == cap(f.buf) {
+			f.buf = append(make([]ChunkTrace, 0, min(max(2*n, 1), f.capacity)), f.buf...)
+		}
+		f.buf = append(f.buf, ct)
+	} else {
+		f.buf[f.next%int64(len(f.buf))] = ct
+	}
 	f.next++
 	f.mu.Unlock()
 }

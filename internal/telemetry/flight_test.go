@@ -54,6 +54,45 @@ func TestFlightRecorderPartial(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderGrowth pins the ring across its growth steps: a new
+// recorder holds no ring, the ring doubles up to the capacity (5 here, so
+// the last step is short of a double), and after every Record the
+// retained traces are the newest ones, oldest first, with their contents
+// intact.
+func TestFlightRecorderGrowth(t *testing.T) {
+	f := NewFlightRecorder(5)
+	if f.buf != nil {
+		t.Fatalf("new recorder holds a ring of %d", cap(f.buf))
+	}
+	wantCaps := []int{1, 2, 4, 4, 5, 5, 5, 5, 5, 5, 5, 5}
+	for i := int64(1); i <= 12; i++ {
+		ct := ChunkTrace{Seq: i, Bytes: 100 * i, Elements: 10 * i, TotalNS: 1000 * i, Events: i % 3}
+		ct.StageNS[StageDetect] = 7 * i
+		if i%4 == 0 {
+			ct.Err = "bad chunk"
+		}
+		f.Record(ct)
+		if got := cap(f.buf); got != wantCaps[i-1] {
+			t.Errorf("after %d records the ring holds %d, want %d", i, got, wantCaps[i-1])
+		}
+		if f.Total() != i {
+			t.Errorf("after %d records total = %d", i, f.Total())
+		}
+		traces := f.Traces()
+		if want := min(i, 5); int64(len(traces)) != want {
+			t.Fatalf("after %d records: %d traces, want %d", i, len(traces), want)
+		}
+		first := i - int64(len(traces)) + 1
+		for j, tr := range traces {
+			seq := first + int64(j)
+			if tr.Seq != seq || tr.Bytes != 100*seq || tr.Elements != 10*seq || tr.TotalNS != 1000*seq ||
+				tr.Events != seq%3 || tr.StageNS[StageDetect] != 7*seq || (tr.Err != "") != (seq%4 == 0) {
+				t.Fatalf("after %d records, trace %d = %+v, want chunk %d's", i, j, tr, seq)
+			}
+		}
+	}
+}
+
 func TestFlightRecorderNil(t *testing.T) {
 	var f *FlightRecorder
 	f.Record(ChunkTrace{Seq: 1}) // must not panic
