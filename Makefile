@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check fuzz-smoke soak-smoke load-smoke cluster-smoke bench bench-smoke bench-guard bench-json bench-load
+.PHONY: all build test check fuzz-smoke soak-smoke load-smoke cluster-smoke bench bench-smoke bench-guard
 
 all: build
 
@@ -96,19 +96,3 @@ bench-smoke:
 bench-guard:
 	OPD_TRACE_GUARD=1 $(GO) test -count=1 -run=TestTracingOverheadGuard -v ./internal/serve
 	OPD_INGEST_GUARD=1 $(GO) test -count=1 -run=TestStreamingIngestGuard -v ./internal/serve
-
-# bench-json regenerates the checked-in streaming-server ingest overhead
-# record.
-bench-json:
-	$(GO) run ./cmd/phasebench -bench-serve-json BENCH_serve.json
-
-# bench-load regenerates BENCH_load.json: the canonical loadgen suite
-# (1200 framed-stream sessions, a mixed-protocol churn run, a kill -9
-# durability/recovery run, and a cluster node-kill run through the
-# phasedgw gateway) against freshly spawned processes. Takes a couple
-# of minutes.
-bench-load:
-	mkdir -p .bin
-	$(GO) build -o .bin/phased ./cmd/phased
-	$(GO) build -o .bin/phasedgw ./cmd/phasedgw
-	$(GO) run ./cmd/loadgen -suite -phased-bin .bin/phased -gateway-bin .bin/phasedgw -json BENCH_load.json

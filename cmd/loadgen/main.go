@@ -14,7 +14,6 @@
 // or let it spawn (and crash, and restart) its own:
 //
 //	loadgen -phased-bin ./phased -kill-after 10s -duration 25s
-//	loadgen -phased-bin ./phased -suite -json BENCH_load.json
 //
 // or drive a whole cluster — phased nodes behind a spawned phasedgw
 // gateway, with a node kill -9 that is never restarted (sessions are
@@ -45,7 +44,7 @@ func main() {
 	var (
 		addr      = flag.String("addr", "", "phased server address (host:port); empty requires -phased-bin to spawn one")
 		phasedBin = flag.String("phased-bin", "", "phased binary to spawn (and restart after -kill-after)")
-		dataDir   = flag.String("data-dir", "", "data dir for the spawned server (default: a temp dir when -kill-after is set, else in-memory)")
+		dataDir   = flag.String("data-dir", "", "data dir for the spawned server (default: a temp dir when -kill-after is set, else in-memory; not with -gateway-bin)")
 
 		sessions = flag.Int("sessions", 64, "concurrent session slots")
 		startRPS = flag.Float64("start-rps", 2, "per-session chunk rate at ramp start")
@@ -71,9 +70,7 @@ func main() {
 		killAfter = flag.Duration("kill-after", 0, "kill -9 the spawned server this far into the run and restart it (requires -phased-bin; with -gateway-bin, kills node 1 and leaves it down)")
 		gwBin     = flag.String("gateway-bin", "", "phasedgw binary: run the load through a spawned gateway over -cluster-nodes phased children (requires -phased-bin)")
 		clusterN  = flag.Int("cluster-nodes", 3, "with -gateway-bin: how many phased nodes behind the gateway")
-		suite     = flag.Bool("suite", false, "run the canonical benchmark suite instead of one ad-hoc run (requires -phased-bin; with -gateway-bin, includes the cluster scenario)")
-		runName   = flag.String("run", "", "with -suite: run only the named scenario")
-		jsonOut   = flag.String("json", "", "write the machine-readable report here (BENCH_load.json format)")
+		jsonOut   = flag.String("json", "", "write the machine-readable report here")
 		verbose   = flag.Bool("v", false, "log harness progress to stderr")
 	)
 	flag.Parse()
@@ -106,11 +103,11 @@ func main() {
 	if *gwBin != "" && *clusterN < 2 {
 		fail("-cluster-nodes must be >= 2 (got %d)", *clusterN)
 	}
-	if *suite && *phasedBin == "" {
-		fail("-suite needs -phased-bin: each scenario spawns a fresh server")
+	if *dataDir != "" && *phasedBin == "" {
+		fail("-data-dir needs -phased-bin: only a spawned server takes a data dir")
 	}
-	if *runName != "" && !*suite {
-		fail("-run selects a -suite scenario; pass -suite too")
+	if *dataDir != "" && *gwBin != "" {
+		fail("-data-dir does not apply with -gateway-bin: cluster nodes run in memory")
 	}
 	// The Spec's zero-value conventions (0 target = hold start, 0
 	// lifetime = no churn) are for library callers; a literal zero or
@@ -179,83 +176,52 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if err := run(ctx, spec, *addr, *phasedBin, *gwBin, *dataDir, *killAfter, *clusterN, *suite, *runName, *jsonOut, logger); err != nil {
+	if err := run(ctx, spec, *addr, *phasedBin, *gwBin, *dataDir, *killAfter, *clusterN, *jsonOut, logger); err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, spec loadgen.Spec, addr, bin, gwBin, dataDir string, killAfter time.Duration, clusterN int, suite bool, runName, jsonOut string, logger *slog.Logger) error {
-	bf := loadgen.NewBenchFile()
-
+func run(ctx context.Context, spec loadgen.Spec, addr, bin, gwBin, dataDir string, killAfter time.Duration, clusterN int, jsonOut string, logger *slog.Logger) error {
+	name := "adhoc"
+	var rep *loadgen.Report
+	var err error
 	switch {
-	case suite:
-		workDir, err := os.MkdirTemp("", "loadgen-suite-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(workDir)
-		scenarios := loadgen.DefaultSuite()
-		if gwBin != "" {
-			scenarios = append(scenarios, loadgen.ClusterScenario())
-		}
-		if runName != "" {
-			kept := scenarios[:0]
-			for _, sc := range scenarios {
-				if sc.Name == runName {
-					kept = append(kept, sc)
-				}
-			}
-			if len(kept) == 0 {
-				return fmt.Errorf("no suite scenario named %q", runName)
-			}
-			scenarios = kept
-		}
-		bf, err = loadgen.RunSuite(ctx, bin, gwBin, workDir, scenarios, logger, os.Stdout)
-		if err != nil {
-			return err
-		}
-
 	case gwBin != "":
-		// Ad-hoc cluster run: the flag-built spec through a spawned
-		// gateway; -kill-after fells node 1 for good.
-		sc := loadgen.Scenario{Name: "adhoc-cluster", Spec: spec, KillAfter: killAfter, Cluster: clusterN}
-		rep, err := loadgen.RunClusterScenario(ctx, bin, gwBin, sc, logger, os.Stdout)
-		if err != nil {
-			return err
-		}
-		bf.Runs = append(bf.Runs, loadgen.BenchRun{Name: sc.Name, Report: rep})
+		// Cluster run: the flag-built spec through a spawned gateway;
+		// -kill-after fells node 1 for good.
+		name = "adhoc-cluster"
+		sc := loadgen.Scenario{Name: name, Spec: spec, KillAfter: killAfter, Cluster: clusterN}
+		rep, err = loadgen.RunClusterScenario(ctx, bin, gwBin, sc, logger, os.Stdout)
 
 	case bin != "":
-		// Ad-hoc run against a spawned server.
-		sc := loadgen.Scenario{Name: "adhoc", Spec: spec, KillAfter: killAfter}
-		workDir := dataDir
-		if workDir == "" {
-			tmp, err := os.MkdirTemp("", "loadgen-")
-			if err != nil {
+		// Run against a spawned server. A kill -9 needs durable state
+		// to recover from: without -data-dir it gets a temp dir.
+		if killAfter > 0 && dataDir == "" {
+			if dataDir, err = os.MkdirTemp("", "loadgen-"); err != nil {
 				return err
 			}
-			defer os.RemoveAll(tmp)
-			workDir = tmp
+			defer os.RemoveAll(dataDir)
 		}
-		rep, err := loadgen.RunScenario(ctx, bin, workDir, sc, logger, os.Stdout)
-		if err != nil {
-			return err
-		}
-		bf.Runs = append(bf.Runs, loadgen.BenchRun{Name: sc.Name, Report: rep})
+		sc := loadgen.Scenario{Name: name, Spec: spec, KillAfter: killAfter}
+		rep, err = loadgen.RunScenario(ctx, bin, dataDir, sc, logger, os.Stdout)
 
 	default:
 		// Drive a server someone else is running.
-		r, err := loadgen.NewRunner(spec, addr, logger)
-		if err != nil {
+		var r *loadgen.Runner
+		if r, err = loadgen.NewRunner(spec, addr, logger); err != nil {
 			return err
 		}
-		rep := r.Run(ctx)
+		rep = r.Run(ctx)
 		rep.WriteHuman(os.Stdout)
-		bf.Runs = append(bf.Runs, loadgen.BenchRun{Name: "adhoc", Report: rep})
+	}
+	if err != nil {
+		return err
 	}
 
 	if jsonOut != "" {
+		bf := loadgen.NewBenchFile()
+		bf.Runs = []loadgen.BenchRun{{Name: name, Report: rep}}
 		data, err := json.MarshalIndent(bf, "", "  ")
 		if err != nil {
 			return err
@@ -263,15 +229,13 @@ func run(ctx context.Context, spec loadgen.Spec, addr, bin, gwBin, dataDir strin
 		if err := os.WriteFile(jsonOut, append(data, '\n'), 0o644); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stdout, "\nwrote %s (%d runs)\n", jsonOut, len(bf.Runs))
+		fmt.Fprintf(os.Stdout, "\nwrote %s\n", jsonOut)
 	}
-	for _, run := range bf.Runs {
-		if run.Report.Errors.Unexpected > 0 {
-			return fmt.Errorf("run %s observed %d unexpected errors", run.Name, run.Report.Errors.Unexpected)
-		}
-		if run.Report.Sessions.Opened == 0 {
-			return fmt.Errorf("run %s never opened a session — is the server reachable?", run.Name)
-		}
+	if rep.Errors.Unexpected > 0 {
+		return fmt.Errorf("run %s observed %d unexpected errors", name, rep.Errors.Unexpected)
+	}
+	if rep.Sessions.Opened == 0 {
+		return fmt.Errorf("run %s never opened a session — is the server reachable?", name)
 	}
 	return nil
 }

@@ -125,17 +125,8 @@ func main() {
 		asJSON  = flag.Bool("json", false, "emit results as a JSON object keyed by experiment name")
 		telAddr = flag.String("telemetry-addr", "", "serve the live "+telemetry.DebugPath+" debug surface on this address (\":0\" picks a port)")
 		telDump = flag.Bool("telemetry-dump", false, "print the telemetry report and detector execution summary at end of run")
-		serveTo = flag.String("bench-serve-json", "", "benchmark streaming-server HTTP ingest against the direct detector feed across chunk sizes and write the JSON record to this path (\"-\" = stdout), then exit")
 	)
 	flag.Parse()
-
-	if *serveTo != "" {
-		if err := runBenchServeJSON(*serveTo); err != nil {
-			fmt.Fprintln(os.Stderr, "phasebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	// SIGINT cancels the in-flight sweep; completed experiments are still
 	// rendered and the run summary covers everything that finished.

@@ -40,7 +40,7 @@ func listenAddr(line string) (string, bool) {
 func buildCmds(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
-	for _, name := range []string{"tracegen", "baseline", "detect", "phasebench", "vmrun", "phased", "loadgen"} {
+	for _, name := range []string{"tracegen", "baseline", "detect", "phasebench", "vmrun", "phased", "phasedgw", "loadgen"} {
 		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, name), "./cmd/"+name)
 		cmd.Env = os.Environ()
 		if out, err := cmd.CombinedOutput(); err != nil {
@@ -630,8 +630,8 @@ func TestLoadgenFlagValidation(t *testing.T) {
 		{"bad protocol", []string{"-addr", "x:1", "-protocols", "carrier-pigeon"}, "unknown protocol"},
 		{"kill without bin", []string{"-addr", "x:1", "-kill-after", "5s"}, "-kill-after needs -phased-bin"},
 		{"kill past end", []string{"-phased-bin", "y", "-kill-after", "40s", "-duration", "30s"}, "must fall inside"},
-		{"suite without bin", []string{"-addr", "x:1", "-suite"}, "-suite needs -phased-bin"},
-		{"run without suite", []string{"-addr", "x:1", "-run", "x"}, "pass -suite too"},
+		{"data dir without bin", []string{"-addr", "x:1", "-data-dir", "d"}, "-data-dir needs -phased-bin"},
+		{"data dir with gateway", []string{"-phased-bin", "y", "-gateway-bin", "z", "-data-dir", "d"}, "-data-dir does not apply with -gateway-bin"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -658,7 +658,7 @@ func TestLoadgenE2E(t *testing.T) {
 	bins := buildCmds(t)
 	p := startPhased(t, filepath.Join(bins, "phased"))
 
-	jsonPath := filepath.Join(t.TempDir(), "BENCH_load.json")
+	jsonPath := filepath.Join(t.TempDir(), "loadgen.json")
 	out, err := exec.Command(filepath.Join(bins, "loadgen"),
 		"-addr", strings.TrimPrefix(p.base, "http://"),
 		"-sessions", "6", "-start-rps", "6", "-duration", "2s",
@@ -698,14 +698,14 @@ func TestLoadgenE2E(t *testing.T) {
 		} `json:"runs"`
 	}
 	if err := json.Unmarshal(data, &bench); err != nil {
-		t.Fatalf("BENCH_load.json: %v\n%s", err, data)
+		t.Fatalf("loadgen -json: %v\n%s", err, data)
 	}
 	if bench.GoVersion == "" || len(bench.Runs) != 1 {
-		t.Fatalf("BENCH_load.json shape: %s", data)
+		t.Fatalf("loadgen -json shape: %s", data)
 	}
 	run := bench.Runs[0]
 	if run.Ingest.Chunks == 0 || run.Sessions.Opened < 6 || run.Sessions.Completed == 0 {
-		t.Fatalf("no throughput in BENCH_load.json: %s", data)
+		t.Fatalf("no throughput in the loadgen -json report: %s", data)
 	}
 	if run.Errors.Unexpected != 0 {
 		t.Fatalf("unexpected errors: %s", data)
@@ -713,4 +713,76 @@ func TestLoadgenE2E(t *testing.T) {
 	if got := run.Server["opd_serve_ingest_elements_total"]; got != float64(run.Ingest.Elements) {
 		t.Fatalf("server counted %.0f elements, harness counted %d", got, run.Ingest.Elements)
 	}
+}
+
+// TestLoadgenSpawnKill runs loadgen's two spawn modes with a kill -9
+// mid-run: one durable node on -data-dir, killed and restarted, and a
+// three-node fleet behind a spawned gateway, with node 1 left down. What
+// the cluster run reports about recovery depends on which node each
+// session hashes to, so it is only checked for the kill itself.
+func TestLoadgenSpawnKill(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the executables")
+	}
+	bins := buildCmds(t)
+	phased := filepath.Join(bins, "phased")
+
+	type recovery struct {
+		KilledAtNS int64 `json:"killed_at_ns"`
+		ReadyNS    int64 `json:"ready_ns"`
+		IngestNS   int64 `json:"ingest_recovery_ns"`
+	}
+	run := func(t *testing.T, args ...string) recovery {
+		t.Helper()
+		jsonPath := filepath.Join(t.TempDir(), "loadgen.json")
+		args = append(args, "-sessions", "6", "-start-rps", "4", "-scale", "1",
+			"-chunk-min", "64", "-chunk-max", "256", "-mix", "jlex,jess", "-json", jsonPath)
+		out, err := exec.Command(filepath.Join(bins, "loadgen"), args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("loadgen %v: %v\n%s", args, err, out)
+		}
+		for _, want := range []string{"kill -9:", "errors:    none"} {
+			if !strings.Contains(string(out), want) {
+				t.Errorf("loadgen report missing %q:\n%s", want, out)
+			}
+		}
+		data, err := os.ReadFile(jsonPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var report struct {
+			Runs []struct {
+				Errors struct {
+					Unexpected int64 `json:"unexpected"`
+				} `json:"errors"`
+				Recovery *recovery `json:"recovery"`
+			} `json:"runs"`
+		}
+		if err := json.Unmarshal(data, &report); err != nil || len(report.Runs) != 1 {
+			t.Fatalf("loadgen -json: %v\n%s", err, data)
+		}
+		got := report.Runs[0]
+		if got.Errors.Unexpected != 0 {
+			t.Errorf("unexpected errors: %s", data)
+		}
+		if got.Recovery == nil || got.Recovery.KilledAtNS <= 0 {
+			t.Fatalf("no kill recorded: %s", data)
+		}
+		return *got.Recovery
+	}
+
+	t.Run("node", func(t *testing.T) {
+		dataDir := t.TempDir()
+		rec := run(t, "-phased-bin", phased, "-data-dir", dataDir, "-kill-after", "1s", "-duration", "3s")
+		if rec.ReadyNS <= 0 || rec.IngestNS <= 0 {
+			t.Errorf("recovery clocks not set: %+v", rec)
+		}
+		if _, err := os.Stat(filepath.Join(dataDir, "sessions")); err != nil {
+			t.Errorf("the spawned server did not persist into -data-dir: %v", err)
+		}
+	})
+	t.Run("cluster", func(t *testing.T) {
+		run(t, "-phased-bin", phased, "-gateway-bin", filepath.Join(bins, "phasedgw"),
+			"-kill-after", "1500ms", "-duration", "4s", "-protocols", "stream")
+	})
 }

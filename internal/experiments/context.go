@@ -207,22 +207,12 @@ func (c *Context) Runs(bench string) ([]sweep.Run, error) {
 	return runs, nil
 }
 
-// InternedTrace returns (interning and caching on first use) the named
-// benchmark's trace in dense-ID form. Every sweep of the benchmark shares
-// this one representation, so the experiment pipeline pays exactly one
-// hash pass per benchmark regardless of how many experiments re-sweep it.
-func (c *Context) InternedTrace(bench string) (*trace.Interned, error) {
-	tr, _, err := c.Workload(bench)
-	if err != nil {
-		return nil, err
-	}
-	return c.internedFor(bench, tr), nil
-}
-
 // internedFor returns the benchmark's cached interned stream when tr is
 // the cached workload trace, and interns tr ad hoc otherwise (the seed
 // variance experiment sweeps reseeded variant traces that must not
-// poison the per-benchmark cache).
+// poison the per-benchmark cache). Every sweep of a benchmark's own
+// trace shares the cached stream, so the pipeline pays one hash pass
+// per benchmark however many experiments re-sweep it.
 func (c *Context) internedFor(bench string, tr trace.Trace) *trace.Interned {
 	c.mu.Lock()
 	cached, ok := c.traces[bench]

@@ -13,10 +13,11 @@ import (
 	"opd/internal/telemetry"
 )
 
-// A Report is one load run's machine-readable record — the per-run
-// element of BENCH_load.json. Everything is client-observed except
-// Server, which snapshots the server's own counters for cross-checking
-// (e.g. client-observed open sheds vs opd_resilience_shed_opens_total).
+// A Report is one load run's machine-readable record — the run element
+// of the document loadgen -json writes. Everything is client-observed
+// except Server, which snapshots the server's own counters for
+// cross-checking (e.g. client-observed open sheds vs
+// opd_resilience_shed_opens_total).
 type Report struct {
 	Spec   Spec   `json:"spec"`
 	Plan   string `json:"plan"`
@@ -265,15 +266,15 @@ func (rep *Report) WriteHuman(w io.Writer) {
 	}
 }
 
-// A BenchFile is the top-level BENCH_load.json document: a trajectory of
-// named runs later PRs extend and compare against.
+// A BenchFile is the top-level document loadgen -json writes: the
+// toolchain and the run, named.
 type BenchFile struct {
 	GoVersion string     `json:"go_version"`
 	GOARCH    string     `json:"goarch"`
 	Runs      []BenchRun `json:"runs"`
 }
 
-// A BenchRun is one named scenario's report.
+// A BenchRun is one named run's report.
 type BenchRun struct {
 	Name string `json:"name"`
 	*Report

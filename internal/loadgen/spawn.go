@@ -53,10 +53,9 @@ func PickAddr() (string, error) {
 }
 
 // SpawnServer starts a phased child at bin with the given fixed addr
-// and data dir (plus any extra flags) and waits until it is serving.
-func SpawnServer(ctx context.Context, bin, addr, dataDir string, logger *slog.Logger, extra ...string) (*Server, error) {
-	args := append([]string{"-addr", addr, "-data-dir", dataDir}, extra...)
-	return spawn(ctx, bin, addr, args, logger)
+// and data dir (empty runs it in memory) and waits until it is serving.
+func SpawnServer(ctx context.Context, bin, addr, dataDir string, logger *slog.Logger) (*Server, error) {
+	return spawn(ctx, bin, addr, []string{"-addr", addr, "-data-dir", dataDir}, logger)
 }
 
 // SpawnGateway starts a phasedgw child fronting the given phased nodes

@@ -1,11 +1,9 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 
 	"opd/internal/core"
@@ -66,7 +64,9 @@ func encodeMigration(snapshot []byte) []byte {
 }
 
 // decodeMigration parses a migration blob defensively (it crosses the
-// wire between nodes, so it is untrusted input).
+// wire between nodes, so it is untrusted input). The snapshot and the
+// records are sub-slices of data, each capped at its own end; restore
+// decodes out of them and keeps none.
 func decodeMigration(data []byte) (snapshot []byte, records [][]byte, err error) {
 	fail := func(msg string) ([]byte, [][]byte, error) {
 		return nil, nil, fmt.Errorf("serve: migration blob: %s", msg)
@@ -77,34 +77,31 @@ func decodeMigration(data []byte) (snapshot []byte, records [][]byte, err error)
 	if v := data[len(migrMagic)]; v != migrVersion {
 		return fail(fmt.Sprintf("unsupported version %d", v))
 	}
-	r := bytes.NewReader(data[len(migrMagic)+1:])
-	snapLen, err := binary.ReadUvarint(r)
-	if err != nil || snapLen > uint64(r.Len()) {
+	rest := data[len(migrMagic)+1:]
+	snapLen, n := binary.Uvarint(rest)
+	if n <= 0 || snapLen > uint64(len(rest)-n) {
 		return fail("snapshot length")
 	}
-	snapshot = make([]byte, snapLen)
-	if _, err := io.ReadFull(r, snapshot); err != nil {
-		return fail("snapshot truncated")
-	}
-	count, err := binary.ReadUvarint(r)
+	rest = rest[n:]
+	snapshot, rest = rest[:snapLen:snapLen], rest[snapLen:]
+	count, n := binary.Uvarint(rest)
 	// Every record costs at least one length byte, bounding the count by
 	// the remaining input — reject absurd counts before allocating.
-	if err != nil || count > uint64(r.Len())+1 {
+	if n <= 0 || count > uint64(len(rest)-n)+1 {
 		return fail("record count")
 	}
+	rest = rest[n:]
 	records = make([][]byte, 0, count)
 	for i := uint64(0); i < count; i++ {
-		recLen, err := binary.ReadUvarint(r)
-		if err != nil || recLen > uint64(r.Len()) {
+		recLen, n := binary.Uvarint(rest)
+		if n <= 0 || recLen > uint64(len(rest)-n) {
 			return fail("record length")
 		}
-		rec := make([]byte, recLen)
-		if _, err := io.ReadFull(r, rec); err != nil {
-			return fail("record truncated")
-		}
-		records = append(records, rec)
+		rest = rest[n:]
+		records = append(records, rest[:recLen:recLen])
+		rest = rest[recLen:]
 	}
-	if r.Len() != 0 {
+	if len(rest) != 0 {
 		return fail("trailing bytes")
 	}
 	return snapshot, records, nil

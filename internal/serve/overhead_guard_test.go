@@ -175,7 +175,8 @@ func streamRun(t *testing.T, parts []trace.Trace, ids bool) float64 {
 //   - the symbol-negotiated dense-ID hot path (the server skips
 //     per-element hashing entirely) must stay under 1.2x;
 //   - the branch-frame streaming path must stay under 2.5x (the
-//     request-per-chunk HTTP path it replaces sat at ~4.9x).
+//     request-per-chunk HTTP path it replaces sits near 7x on 2 vCPUs:
+//     BenchmarkServeIngest against BenchmarkDirectIngest, chunk1024).
 //
 // Wall-clock comparisons are noisy, so the guard runs only when
 // OPD_INGEST_GUARD=1 (the Makefile's bench-guard target) and compares

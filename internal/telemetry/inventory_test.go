@@ -5,9 +5,9 @@ import "testing"
 // familyInventory is every metric family the probes and the runtime
 // gauges register, with its kind, sorted by name. Each entry names its
 // reader. bench/ (its scrape of /debug/phasedet) and loadgen
-// (FilterCounters, the source of BENCH_load.json) match families by
-// string, so a rename would silently zero a number there; a family with
-// no reader is code to delete.
+// (FilterCounters, the server counters of its -json report) match
+// families by string, so a rename would silently zero a number there; a
+// family with no reader is code to delete.
 var familyInventory = []string{
 	"opd_detector_anchor_adjustment_elements summary",       // TestDetectorProbeRecords
 	"opd_detector_elements_total counter",                   // TestDetectorProbeRecords
